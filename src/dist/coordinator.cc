@@ -1,11 +1,6 @@
 #include "dist/coordinator.h"
 
-#include <sys/socket.h>
-
-#include <algorithm>
-
 #include "common/annotations.h"
-#include "common/rng.h"
 
 namespace qrank {
 namespace {
@@ -35,234 +30,150 @@ Status Coordinator::Start() {
         std::to_string(map_.num_shards) + ", got " +
         std::to_string(shards_.size()));
   }
+  if (started_) return Status::FailedPrecondition("Coordinator already started");
   const uint32_t num_shards = map_.num_shards;
-  scratch_.shard_frames.resize(num_shards);
+  lanes_.resize(size_t{num_shards} * 2);
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    const ShardAddress& address = shards_[s];
+    lanes_[size_t{s} * 2].endpoint = address.primary;
+    lanes_[size_t{s} * 2 + 1].endpoint =
+        address.has_replica ? address.replica : address.primary;
+  }
+  scratch_.pollfds.resize(lanes_.size());
+  scratch_.polled.resize(lanes_.size());
+  scratch_.answer.assign(num_shards, nullptr);
   scratch_.shard_ok.assign(num_shards, 0);
   scratch_.responses.resize(num_shards);
   scratch_.cursor.assign(num_shards, 0);
-
-  MutexLock lock(&mu_);
-  if (started_) return Status::FailedPrecondition("Coordinator already started");
-  channels_.reserve(size_t{num_shards} * 2);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    for (int role = 0; role < 2; ++role) {
-      auto ch = std::make_unique<Channel>();
-      ch->shard = s;
-      ch->is_hedge = role == 1;
-      ch->endpoint = (role == 1 && shards_[s].has_replica)
-                         ? shards_[s].replica
-                         : shards_[s].primary;
-      Channel* raw = ch.get();
-      ch->thread = std::thread([this, raw] { ChannelLoop(raw); });
-      channels_.push_back(std::move(ch));
-    }
-  }
   started_ = true;
   return Status::OK();
 }
 
 void Coordinator::Stop() {
-  std::vector<std::unique_ptr<Channel>> channels;
-  {
-    MutexLock lock(&mu_);
-    if (!started_ || stopping_) return;
-    stopping_ = true;
-    ++query_epoch_;
-    for (std::unique_ptr<Channel>& ch : channels_) {
-      ch->work_pending = false;
-      ch->request = nullptr;
-      if (ch->live_fd >= 0) ::shutdown(ch->live_fd, SHUT_RDWR);
-    }
-    work_cv_.NotifyAll();
-    channels.swap(channels_);
+  if (!started_) return;
+  stopped_ = true;
+  lanes_.clear();  // closes every connection
+}
+
+void Coordinator::Send(Lane* lane, std::span<const uint8_t> frame) {
+  lane->sent = 0;
+  lane->reader.Reset();
+  if (lane->socket.valid()) {
+    lane->phase = Lane::Phase::kSending;
+    Advance(lane, frame);
+    return;
   }
-  for (std::unique_ptr<Channel>& ch : channels) {
-    if (ch->thread.joinable()) ch->thread.join();
+  Result<Socket> conn =
+      Socket::StartConnect(lane->endpoint.host, lane->endpoint.port);
+  if (!conn.ok()) {
+    lane->phase = Lane::Phase::kFailed;
+    return;
   }
+  lane->socket = std::move(conn).value();
+  lane->phase = Lane::Phase::kConnecting;
 }
 
-uint64_t Coordinator::queries() const {
-  MutexLock lock(&mu_);
-  return queries_;
-}
-
-uint64_t Coordinator::degraded_queries() const {
-  MutexLock lock(&mu_);
-  return degraded_queries_;
-}
-
-uint64_t Coordinator::hedges_fired() const {
-  MutexLock lock(&mu_);
-  return hedges_fired_;
-}
-
-void Coordinator::ChannelLoop(Channel* ch) {
-  for (;;) {
-    uint64_t epoch = 0;
-    RpcDeadline io_deadline = kNoRpcDeadline;
-    {
-      MutexLock lock(&mu_);
-      while (!stopping_ && !ch->work_pending) work_cv_.Wait(&mu_);
-      if (stopping_) break;
-      ch->work_pending = false;
-      epoch = ch->epoch;
-      io_deadline = ch->io_deadline;
-      // Copy the frame before dropping mu_: ch->request points into
-      // TopK-owned scratch that the next query re-encodes as soon as
-      // this wave retires, so it must never be read unlocked. Claiming
-      // and copying in one critical section means that once RunWave's
-      // cancel section has run, no thread still holds the pointer.
-      ch->request_copy.assign(ch->request->begin(), ch->request->end());
-      ch->request = nullptr;
-    }
-
-    Status status = Status::OK();
-    if (!ch->socket.valid()) {
-      Result<Socket> conn =
-          Socket::Connect(ch->endpoint.host, ch->endpoint.port, io_deadline);
-      if (conn.ok()) {
-        ch->socket = std::move(conn).value();
-        MutexLock lock(&mu_);
-        ch->live_fd = ch->socket.fd();
-      } else {
-        status = conn.status();
-      }
-    }
-    if (status.ok()) {
-      status = SendFrame(ch->socket, ch->request_copy, io_deadline);
-    }
-    if (status.ok()) {
-      Result<FrameHeader> header =
-          RecvFrame(ch->socket, &ch->recv_frame, io_deadline);
-      if (!header.ok()) status = header.status();
-    }
-
-    MutexLock lock(&mu_);
-    if (!status.ok()) {
-      // Dead, canceled, or desynced stream: drop the connection so the
-      // channel's next request reconnects (the worker-rejoin path).
-      ch->socket.Close();
-      ch->live_fd = -1;
-    }
-    if (epoch == query_epoch_ && !ch->result_ready) {
-      ch->result_ready = true;
-      ch->result_status = status;
-      ch->result_frame.swap(ch->recv_frame);
-      done_cv_.NotifyAll();
-    }
+void Coordinator::Advance(Lane* lane, std::span<const uint8_t> frame) {
+  using Phase = Lane::Phase;
+  // Dead, refused or desynced stream: drop the connection so the
+  // lane's next send reconnects (the worker-rejoin path).
+  const auto fail = [lane] {
+    lane->socket.Close();
+    lane->phase = Phase::kFailed;
+  };
+  if (lane->phase == Phase::kConnecting) {
+    if (!lane->socket.FinishConnect().ok()) return fail();
+    lane->phase = Phase::kSending;
   }
-  ch->socket.Close();
-  MutexLock lock(&mu_);
-  ch->live_fd = -1;
-}
-
-void Coordinator::SubmitLocked(Channel* ch, const std::vector<uint8_t>* frame,
-                               uint64_t epoch, RpcDeadline io_deadline) {
-  ch->work_pending = true;
-  ch->epoch = epoch;
-  ch->request = frame;
-  ch->io_deadline = io_deadline;
-  ch->result_ready = false;
-  ch->result_status = Status::OK();
-}
-
-void Coordinator::CancelInFlightLocked() {
-  for (std::unique_ptr<Channel>& ch : channels_) {
-    if (ch->epoch != query_epoch_ || ch->result_ready) continue;
-    if (ch->work_pending) {
-      // Never picked up: just retract it (and the borrowed frame
-      // pointer with it, before the scratch it targets is reused).
-      ch->work_pending = false;
-      ch->request = nullptr;
-      continue;
-    }
-    // Mid-flight: tear the stream down (see header on why the
-    // connection cannot be reused after an abandoned response).
-    if (ch->live_fd >= 0) ::shutdown(ch->live_fd, SHUT_RDWR);
+  if (lane->phase == Phase::kSending) {
+    const Result<size_t> n = lane->socket.SendSome(frame.subspan(lane->sent));
+    if (!n.ok()) return fail();
+    lane->sent += n.value();
+    if (lane->sent == frame.size()) lane->phase = Phase::kReceiving;
+    return;  // the response cannot have arrived before the request left
+  }
+  if (lane->phase == Phase::kReceiving) {
+    const Result<bool> done = lane->reader.Read(lane->socket, &lane->response);
+    if (!done.ok()) return fail();
+    if (done.value()) lane->phase = Phase::kAnswered;
   }
 }
 
-uint32_t Coordinator::RunWave(const std::vector<uint8_t>& frame,
+uint32_t Coordinator::RunWave(std::span<const uint8_t> frame,
                               uint32_t shard_lo, uint32_t shard_hi,
                               RpcDeadline hedge_time, RpcDeadline deadline,
                               DistTopKResult* result) {
-  const uint32_t num_targets = shard_hi - shard_lo;
-  const RpcDeadline io_deadline = deadline + options_.io_grace;
-  uint32_t answered = 0;
+  using Phase = Lane::Phase;
+  Lane* const lanes = lanes_.data() + size_t{shard_lo} * 2;
+  const size_t num_lanes = size_t{shard_hi - shard_lo} * 2;
+  for (size_t i = 0; i < num_lanes; i += 2) Send(&lanes[i], frame);
 
-  MutexLock lock(&mu_);
-  const uint64_t epoch = ++query_epoch_;
-  for (uint32_t s = shard_lo; s < shard_hi; ++s) {
-    SubmitLocked(channels_[size_t{s} * 2].get(), &frame, epoch, io_deadline);
-  }
-  work_cv_.NotifyAll();
-
-  // A shard is settled once a channel answered OK, or once its primary
-  // failed and no rescue can come — hedging is off for this query, or
-  // the hedge was submitted and failed too. Waiting longer on a failed
-  // shard cannot produce an answer, so a fast connection refusal must
-  // not stall the wave until the deadline.
-  bool hedged = false;
-  const bool hedging_enabled = hedge_time < deadline;
+  // A shard is settled once a lane answered, or once its primary failed
+  // and no rescue can come — hedging is off for this wave, or the hedge
+  // was sent and failed too. Waiting longer on a failed shard cannot
+  // produce an answer, so a fast connection refusal must not stall the
+  // wave until the deadline.
+  const bool hedging = hedge_time < deadline;
+  bool hedged = !hedging;
   for (;;) {
-    uint32_t settled = 0;
-    for (uint32_t s = shard_lo; s < shard_hi; ++s) {
-      const Channel& prim = *channels_[size_t{s} * 2];
-      const Channel& hedge = *channels_[size_t{s} * 2 + 1];
-      const bool prim_done = prim.epoch == epoch && prim.result_ready;
-      const bool hedge_done = hedge.epoch == epoch && hedge.result_ready;
-      const bool any_ok = (prim_done && prim.result_status.ok()) ||
-                          (hedge_done && hedge.result_status.ok());
-      const bool prim_failed = prim_done && !prim.result_status.ok();
-      const bool hedge_failed = hedge_done && !hedge.result_status.ok();
-      const bool no_rescue = hedging_enabled ? hedge_failed : true;
-      if (any_ok || (prim_failed && no_rescue)) ++settled;
+    size_t num_polled = 0;
+    bool settled = true;
+    for (size_t i = 0; i < num_lanes; i += 2) {
+      const Lane& prim = lanes[i];
+      const Lane& hedge = lanes[i + 1];
+      if (prim.phase == Phase::kAnswered || hedge.phase == Phase::kAnswered ||
+          (prim.phase == Phase::kFailed &&
+           (!hedging || hedge.phase == Phase::kFailed))) {
+        continue;
+      }
+      settled = false;
+      for (size_t j = i; j < i + 2; ++j) {
+        if (!lanes[j].in_flight()) continue;
+        const short events =
+            lanes[j].phase == Phase::kReceiving ? POLLIN : POLLOUT;
+        scratch_.pollfds[num_polled] = {lanes[j].socket.fd(), events, 0};
+        scratch_.polled[num_polled++] = &lanes[j];
+      }
     }
-    if (settled == num_targets) break;
+    if (settled) break;
 
-    const RpcDeadline wake =
-        (!hedged && hedging_enabled) ? hedge_time : deadline;
-    const bool timed_out = done_cv_.WaitUntil(&mu_, wake);
-    if (!timed_out) continue;
-    if (!hedged && hedging_enabled &&
-        std::chrono::steady_clock::now() < deadline) {
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) break;
+    if (!hedged && now >= hedge_time) {
       hedged = true;
-      for (uint32_t s = shard_lo; s < shard_hi; ++s) {
-        const Channel& prim = *channels_[size_t{s} * 2];
-        if (prim.epoch == epoch && prim.result_ready &&
-            prim.result_status.ok()) {
-          continue;  // already answered; no hedge needed
-        }
-        SubmitLocked(channels_[size_t{s} * 2 + 1].get(), &frame, epoch,
-                     io_deadline);
-        ++hedges_fired_;
+      for (size_t i = 0; i < num_lanes; i += 2) {
+        if (lanes[i].phase == Phase::kAnswered) continue;
+        Send(&lanes[i + 1], frame);
+        hedges_fired_.fetch_add(1, std::memory_order_relaxed);
         ++result->hedges_fired;
       }
-      work_cv_.NotifyAll();
       continue;
     }
-    if (std::chrono::steady_clock::now() >= deadline) break;
+    const Result<int> ready =
+        PollUntil(std::span<pollfd>(scratch_.pollfds.data(), num_polled),
+                  hedged ? deadline : hedge_time);
+    if (!ready.ok()) break;
+    for (size_t p = 0; p < num_polled; ++p) {
+      if (scratch_.pollfds[p].revents != 0) {
+        Advance(scratch_.polled[p], frame);
+      }
+    }
   }
 
-  for (uint32_t s = shard_lo; s < shard_hi; ++s) {
-    scratch_.shard_frames[s].clear();
-    Channel* prim = channels_[size_t{s} * 2].get();
-    Channel* hedge = channels_[size_t{s} * 2 + 1].get();
-    Channel* src = nullptr;
-    if (prim->epoch == epoch && prim->result_ready &&
-        prim->result_status.ok()) {
-      src = prim;
-    } else if (hedge->epoch == epoch && hedge->result_ready &&
-               hedge->result_status.ok()) {
-      src = hedge;
-    }
-    if (src != nullptr) {
-      scratch_.shard_frames[s].swap(src->result_frame);
-      ++answered;
-    }
+  uint32_t answered = 0;
+  for (size_t i = 0; i < num_lanes; i += 2) {
+    const Lane* src = lanes[i].phase == Phase::kAnswered       ? &lanes[i]
+                      : lanes[i + 1].phase == Phase::kAnswered ? &lanes[i + 1]
+                                                               : nullptr;
+    scratch_.answer[shard_lo + i / 2] = src;
+    if (src != nullptr) ++answered;
   }
-  CancelInFlightLocked();
-  ++query_epoch_;  // freeze: late completions are discarded
+  for (size_t i = 0; i < num_lanes; ++i) {
+    // Cancel is close: a connection abandoned mid-request cannot be
+    // reused (see header).
+    if (lanes[i].in_flight()) lanes[i].socket.Close();
+    lanes[i].phase = Phase::kIdle;
+  }
   return answered;
 }
 
@@ -299,36 +210,17 @@ QRANK_HOT void Coordinator::MergeResponses(uint32_t k, uint32_t shard_lo,
 void Coordinator::ApplyGlobalExploration(const TopKQuery& query,
                                          RpcDeadline deadline,
                                          DistTopKResult* result) {
-  // Verbatim replay of QueryEngine's exploration loop (same Rng
-  // stream, same draw/dup-check/attempt structure) over the merged
-  // rows. Only row numbers matter here; page ids and scores of
-  // promoted rows are resolved from the owning shards afterwards.
+  // The engine's draws over the merged rows. Only row numbers matter
+  // here; page ids and scores of promoted rows are resolved from the
+  // owning shards afterwards.
   std::vector<TopKEntry>& out = result->entries;
-  const size_t out_size = out.size();
-  const uint64_t n = map_.total_pages;
-  const double eps = query.exploration_epsilon;
   scratch_.promotions.clear();
-  Rng rng(query.exploration_seed);
-  for (size_t j = 0; j < out_size; ++j) {
-    if (!rng.Bernoulli(eps)) continue;
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      const NodeId row = static_cast<NodeId>(rng.UniformUint64(n));
-      bool duplicate = false;
-      for (size_t i = 0; i < out_size; ++i) {
-        if (out[i].row == row) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      Promotion promo;
-      promo.slot = j;
-      promo.original = out[j];
-      scratch_.promotions.push_back(promo);
-      out[j] = TopKEntry{row, 0, 0.0, true};
-      break;
-    }
-  }
+  DrawExplorationPromotions(
+      query.exploration_seed, query.exploration_epsilon, {},
+      map_.total_pages, out, [this, &out](size_t j, NodeId row) {
+        scratch_.promotions.push_back(Promotion{j, out[j], false});
+        out[j] = TopKEntry{row, 0, 0.0, true};
+      });
   if (scratch_.promotions.empty()) return;
 
   // Resolve wave: every shard is asked; each returns the rows it owns.
@@ -345,13 +237,13 @@ void Coordinator::ApplyGlobalExploration(const TopKQuery& query,
 
   const double alpha = query.blend_alpha;
   for (uint32_t s = 0; s < map_.num_shards; ++s) {
-    const std::vector<uint8_t>& frame = scratch_.shard_frames[s];
-    if (frame.empty()) continue;
-    if (static_cast<FrameType>(frame[4]) != FrameType::kResolveResponse) {
+    const Lane* lane = scratch_.answer[s];
+    if (lane == nullptr ||
+        lane->reader.header().type != FrameType::kResolveResponse) {
       continue;
     }
     const Status decoded = DecodeResolveResponse(
-        std::span<const uint8_t>(frame).subspan(kFrameHeaderBytes),
+        std::span<const uint8_t>(lane->response).subspan(kFrameHeaderBytes),
         &scratch_.resolve_response);
     if (!decoded.ok() ||
         scratch_.resolve_response.request_id !=
@@ -381,13 +273,10 @@ void Coordinator::ApplyGlobalExploration(const TopKQuery& query,
 }
 
 Status Coordinator::TopK(const TopKQuery& query, DistTopKResult* result) {
-  {
-    MutexLock lock(&mu_);
-    if (!started_ || stopping_) {
-      return Status::FailedPrecondition("Coordinator is not running");
-    }
-    ++queries_;
+  if (!started_ || stopped_) {
+    return Status::FailedPrecondition("Coordinator is not running");
   }
+  queries_.fetch_add(1, std::memory_order_relaxed);
   if (!(query.blend_alpha >= 0.0 && query.blend_alpha <= 1.0)) {
     return Status::InvalidArgument("blend_alpha must be in [0, 1]");
   }
@@ -440,13 +329,13 @@ Status Coordinator::TopK(const TopKQuery& query, DistTopKResult* result) {
   // it produced a well-formed OK TopK response for this request.
   for (uint32_t s = shard_lo; s < shard_hi; ++s) {
     scratch_.shard_ok[s] = 0;
-    const std::vector<uint8_t>& frame = scratch_.shard_frames[s];
-    if (frame.empty()) continue;
-    if (static_cast<FrameType>(frame[4]) != FrameType::kTopKResponse) {
+    const Lane* lane = scratch_.answer[s];
+    if (lane == nullptr ||
+        lane->reader.header().type != FrameType::kTopKResponse) {
       continue;
     }
     const Status decoded = DecodeTopKResponse(
-        std::span<const uint8_t>(frame).subspan(kFrameHeaderBytes),
+        std::span<const uint8_t>(lane->response).subspan(kFrameHeaderBytes),
         &scratch_.responses[s]);
     if (!decoded.ok()) continue;
     const WireTopKResponse& resp = scratch_.responses[s];
@@ -473,8 +362,7 @@ Status Coordinator::TopK(const TopKQuery& query, DistTopKResult* result) {
   }
 
   if (result->degraded) {
-    MutexLock lock(&mu_);
-    ++degraded_queries_;
+    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::OK();
 }

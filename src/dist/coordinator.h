@@ -23,49 +23,53 @@
 //     monotone row translation) to the unsharded one, so the engine's
 //     own exploration already matches the oracle.
 //   * global queries are fanned out with epsilon forced to 0; after
-//     the exact merge the coordinator replays the engine's exploration
-//     loop verbatim (same Rng stream: one Bernoulli per slot, up to 8
-//     uniform row draws checked against the evolving result rows),
-//     then resolves the promoted rows' (page_id, quality, pagerank)
-//     from the owning shards and computes the same blend. The replay
-//     needs only row numbers, which the merge already has.
+//     the exact merge the coordinator runs the engine's own draw loop
+//     (DrawExplorationPromotions, same Rng stream) over the merged
+//     rows, then resolves the promoted rows' (page_id, quality,
+//     pagerank) from the owning shards and computes the same blend.
+//     The draws need only row numbers, which the merge already has.
 //
-// ## Deadline / hedging state machine (per query)
+// ## Deadline / hedging (per wave)
 //
-//     submit primaries ──▶ wait ──▶ all done? ──▶ merge (exact)
-//          │ hedge_delay passes with shard(s) silent
+// A wave is one loop on the calling thread. It sends the encoded frame
+// on each target shard's primary connection, then polls every
+// in-flight connection until all shards settle or the deadline passes:
+//
+//     send primaries ──▶ poll ──▶ all settled? ──▶ merge (exact)
+//          │ hedge_delay passes with shard(s) unsettled
 //          ▼
-//     submit hedges (replica, or 2nd connection) ──▶ wait
-//          │ deadline passes with shard(s) still silent
+//     send hedges (replica, or 2nd connection) ──▶ poll
+//          │ deadline passes with shard(s) still unsettled
 //          ▼
-//     cancel stragglers (epoch bump + socket shutdown),
+//     close every connection still in flight,
 //     return partial results with degraded = true
 //
-// A canceled request's connection is torn down rather than reused —
-// the QRKF stream has no way to skip an abandoned response, so
-// cancel-by-disconnect is what keeps request/response framing in sync.
-// Late answers that raced the cancel are discarded by the epoch check;
-// a channel whose connection died reconnects on its next request,
-// which is also the worker-rejoin path.
+// A shard settles when one of its connections delivers a whole frame,
+// or when its primary failed and no rescue can come (hedging off, or
+// the hedge failed too). Connects are non-blocking and run inside the
+// same loop, so an unreachable host costs its own shard the deadline
+// and nothing more. Cancel is close: the QRKF stream has no way to skip
+// an abandoned response, so a connection still in flight when its wave
+// ends is closed, and it reconnects on its next send — which is also
+// the worker-rejoin path. Nothing from a closed connection can reach a
+// later wave, so a wave never has to tell a stale answer from its own.
 //
-// Thread model: Start() spawns two persistent channel threads per
-// shard (primary + hedge), all sharing one coordinator mutex for
-// state handoff; socket I/O runs unlocked. A Coordinator instance
-// serves ONE query at a time (TopK is externally synchronized) — run
-// one Coordinator per client thread, mirroring TopKScratch.
+// Thread model: no threads of its own. Start, Stop and TopK run on the
+// caller's thread and are externally synchronized — run one
+// Coordinator per client thread, mirroring TopKScratch. The counters
+// may be read from any thread.
 
 #ifndef QRANK_DIST_COORDINATOR_H_
 #define QRANK_DIST_COORDINATOR_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "dist/rpc.h"
 #include "dist/shard_map.h"
 #include "serve/query_engine.h"
@@ -93,9 +97,6 @@ struct CoordinatorOptions {
   /// How long a shard may stay silent before its hedge request fires.
   /// >= query_deadline disables hedging.
   std::chrono::milliseconds hedge_delay{60};
-  /// Slack past the query deadline granted to channel socket I/O as a
-  /// backstop — explicit cancellation is the primary mechanism.
-  std::chrono::milliseconds io_grace{1000};
 };
 
 /// One distributed TopK answer. Reuse the instance across queries:
@@ -121,63 +122,54 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Spawns the channel threads. No connections are opened yet —
-  /// channels connect lazily on their first request and reconnect on
-  /// the next request after a failure (the worker-rejoin path).
-  Status Start() QRANK_EXCLUDES(mu_);
+  /// Sizes the per-query scratch. No connections are opened yet —
+  /// each connects on its first send and again on the send after a
+  /// failure (the worker-rejoin path).
+  Status Start();
 
-  /// Cancels any in-flight work and joins all channel threads.
-  void Stop() QRANK_EXCLUDES(mu_);
+  /// Closes every connection. Idempotent; TopK fails afterwards.
+  void Stop();
 
   /// Distributed top-k. Exact (oracle-identical) when result->degraded
   /// is false; partial results otherwise. One call at a time per
   /// Coordinator (see header comment).
-  Status TopK(const TopKQuery& query, DistTopKResult* result)
-      QRANK_EXCLUDES(mu_);
+  Status TopK(const TopKQuery& query, DistTopKResult* result);
 
   const ShardMap& shard_map() const { return map_; }
 
-  uint64_t queries() const QRANK_EXCLUDES(mu_);
-  uint64_t degraded_queries() const QRANK_EXCLUDES(mu_);
-  uint64_t hedges_fired() const QRANK_EXCLUDES(mu_);
+  uint64_t queries() const {
+    return queries_.load(std::memory_order_relaxed);
+  }
+  uint64_t degraded_queries() const {
+    return degraded_queries_.load(std::memory_order_relaxed);
+  }
+  uint64_t hedges_fired() const {
+    return hedges_fired_.load(std::memory_order_relaxed);
+  }
 
  private:
-  /// One persistent request/response lane: a channel owns one socket
-  /// and one thread; the coordinator hands it an encoded frame and
-  /// collects the raw response frame. Two channels per shard (primary
-  /// = channels_[2s], hedge = channels_[2s+1]).
-  ///
-  /// The handoff fields below (work_pending .. live_fd) are guarded by
-  /// Coordinator::mu_ — expressed in prose because GUARDED_BY cannot
-  /// name an enclosing object's member from a nested struct; the TSan
-  /// loopback suite enforces it dynamically. socket/recv_frame are
-  /// channel-thread-private.
-  struct Channel {
+  /// One persistent connection to a shard. Two per shard: the primary
+  /// is lanes_[2s], the hedge lanes_[2s+1] (to the replica if any).
+  struct Lane {
+    enum class Phase : uint8_t {
+      kIdle,        // no request this wave
+      kConnecting,  // non-blocking connect in progress
+      kSending,     // request frame partly written
+      kReceiving,   // response frame partly read
+      kAnswered,    // whole validated response in `response`
+      kFailed,      // connection closed on an error
+    };
+    bool in_flight() const {
+      return phase == Phase::kConnecting || phase == Phase::kSending ||
+             phase == Phase::kReceiving;
+    }
+
     ShardEndpoint endpoint;
-    uint32_t shard = 0;
-    bool is_hedge = false;
-
-    std::thread thread;
-
-    // Guarded by Coordinator::mu_.
-    bool work_pending = false;
-    uint64_t epoch = 0;
-    /// Borrowed pointer into TopK-owned scratch; only valid while
-    /// work_pending is set. The channel thread copies the frame into
-    /// request_copy in the SAME critical section that claims the work,
-    /// so the pointer is never dereferenced unlocked (RunWave retracts
-    /// unclaimed work before TopK may re-encode the scratch buffer).
-    const std::vector<uint8_t>* request = nullptr;
-    RpcDeadline io_deadline = kNoRpcDeadline;
-    bool result_ready = false;
-    Status result_status;
-    std::vector<uint8_t> result_frame;
-    int live_fd = -1;  // for cancel-by-disconnect; -1 when unconnected
-
-    // Channel-thread-private.
     Socket socket;
-    std::vector<uint8_t> request_copy;
-    std::vector<uint8_t> recv_frame;
+    Phase phase = Phase::kIdle;
+    size_t sent = 0;
+    FrameReader reader;
+    std::vector<uint8_t> response;
   };
 
   /// Tracks one exploration promotion so an unresolvable row (owner
@@ -189,68 +181,60 @@ class Coordinator {
   };
 
   /// Per-query scratch, preallocated by Start: the fan-out, merge and
-  /// exploration-replay paths are allocation-free after warm-up.
+  /// exploration paths are allocation-free after warm-up.
   struct QueryScratch {
     std::vector<uint8_t> request_frame;
     std::vector<uint8_t> resolve_frame;
-    std::vector<std::vector<uint8_t>> shard_frames;  // slot per shard
-    std::vector<uint8_t> shard_ok;                   // slot per shard
-    std::vector<WireTopKResponse> responses;         // slot per shard
-    std::vector<size_t> cursor;                      // slot per shard
+    std::vector<pollfd> pollfds;              // slot per lane
+    std::vector<Lane*> polled;                // lane of each pollfds entry
+    std::vector<const Lane*> answer;          // slot per shard; null = none
+    std::vector<uint8_t> shard_ok;            // slot per shard
+    std::vector<WireTopKResponse> responses;  // slot per shard
+    std::vector<size_t> cursor;               // slot per shard
     WireResolveRequest resolve_request;
     WireResolveResponse resolve_response;
     std::vector<Promotion> promotions;
   };
 
-  void ChannelLoop(Channel* ch);
+  /// Puts `frame` on `lane`: connects first when the lane has no live
+  /// connection, else writes at once.
+  void Send(Lane* lane, std::span<const uint8_t> frame);
 
-  void SubmitLocked(Channel* ch, const std::vector<uint8_t>* frame,
-                    uint64_t epoch, RpcDeadline io_deadline)
-      QRANK_REQUIRES(mu_);
+  /// Moves `lane` forward with whatever its socket has ready.
+  void Advance(Lane* lane, std::span<const uint8_t> frame);
 
-  /// Cancels every channel still working on the current epoch: clears
-  /// unclaimed work, shuts down mid-flight connections. The caller
-  /// bumps query_epoch_ right after, which invalidates late results.
-  void CancelInFlightLocked() QRANK_REQUIRES(mu_);
-
-  /// Fans `frame` to shards [shard_lo, shard_hi), hedging silent
-  /// shards at hedge_time, and collects raw response frames into
-  /// scratch_.shard_frames (empty = no transport-level answer) until
-  /// every shard answered or `deadline`. Returns the number of shards
-  /// that answered.
-  uint32_t RunWave(const std::vector<uint8_t>& frame, uint32_t shard_lo,
+  /// Fans `frame` to shards [shard_lo, shard_hi), hedging unsettled
+  /// shards at hedge_time, until every shard settled or `deadline`.
+  /// Leaves each shard's response (or null) in scratch_.answer and
+  /// returns the number of shards that answered.
+  uint32_t RunWave(std::span<const uint8_t> frame, uint32_t shard_lo,
                    uint32_t shard_hi, RpcDeadline hedge_time,
-                   RpcDeadline deadline, DistTopKResult* result)
-      QRANK_EXCLUDES(mu_);
+                   RpcDeadline deadline, DistTopKResult* result);
 
   /// Exact k-way merge of the decoded shard responses (shard_ok slots)
   /// into result->entries. Allocation-free after warm-up.
   void MergeResponses(uint32_t k, uint32_t shard_lo, uint32_t shard_hi,
                       DistTopKResult* result);
 
-  /// Replays the engine's exploration loop over the merged rows, then
-  /// resolves promoted rows via a resolve wave. Rolls back promotions
-  /// it cannot resolve and marks the result degraded.
+  /// Draws the engine's exploration promotions over the merged rows,
+  /// then resolves promoted rows via a resolve wave. Rolls back
+  /// promotions it cannot resolve and marks the result degraded.
   void ApplyGlobalExploration(const TopKQuery& query, RpcDeadline deadline,
-                              DistTopKResult* result) QRANK_EXCLUDES(mu_);
+                              DistTopKResult* result);
 
   const ShardMap map_;
   const std::vector<ShardAddress> shards_;
   const CoordinatorOptions options_;
 
-  QueryScratch scratch_;           // TopK-thread-private
-  uint64_t next_request_id_ = 1;   // TopK-thread-private
+  bool started_ = false;
+  bool stopped_ = false;
+  std::vector<Lane> lanes_;
+  QueryScratch scratch_;
+  uint64_t next_request_id_ = 1;
 
-  mutable Mutex mu_;
-  CondVar work_cv_;  // channels wait for work
-  CondVar done_cv_;  // TopK waits for completions
-  bool started_ QRANK_GUARDED_BY(mu_) = false;
-  bool stopping_ QRANK_GUARDED_BY(mu_) = false;
-  uint64_t query_epoch_ QRANK_GUARDED_BY(mu_) = 0;
-  std::vector<std::unique_ptr<Channel>> channels_ QRANK_GUARDED_BY(mu_);
-  uint64_t queries_ QRANK_GUARDED_BY(mu_) = 0;
-  uint64_t degraded_queries_ QRANK_GUARDED_BY(mu_) = 0;
-  uint64_t hedges_fired_ QRANK_GUARDED_BY(mu_) = 0;
+  std::atomic<uint64_t> queries_{0};
+  std::atomic<uint64_t> degraded_queries_{0};
+  std::atomic<uint64_t> hedges_fired_{0};
 };
 
 }  // namespace qrank

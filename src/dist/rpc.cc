@@ -33,23 +33,17 @@ int RemainingMs(RpcDeadline deadline) {
 }
 
 /// Blocks until fd is ready for `events` or the deadline passes.
-/// POLLERR/POLLHUP also count as ready: the subsequent send/recv
+/// POLLERR/POLLHUP also count as ready: the next syscall on the fd
 /// reports the precise error.
 Status WaitReady(int fd, short events, RpcDeadline deadline,
                  const char* what) {
-  for (;;) {
-    const int ms = RemainingMs(deadline);
-    if (ms == 0) {
-      return Status::IOError(std::string(what) + ": deadline exceeded");
-    }
-    struct pollfd p = {fd, events, 0};
-    const int rc = ::poll(&p, 1, ms);
-    if (rc > 0) return Status::OK();
-    if (rc == 0) {
-      return Status::IOError(std::string(what) + ": deadline exceeded");
-    }
-    if (errno != EINTR) return ErrnoStatus("poll");
+  struct pollfd p = {fd, events, 0};
+  QRANK_ASSIGN_OR_RETURN(const int ready,
+                         PollUntil(std::span<pollfd>(&p, 1), deadline));
+  if (ready == 0) {
+    return Status::IOError(std::string(what) + ": deadline exceeded");
   }
+  return Status::OK();
 }
 
 Status SetNonBlocking(int fd, bool nonblocking) {
@@ -67,6 +61,16 @@ void SetNoDelay(int fd) {
 
 }  // namespace
 
+Result<int> PollUntil(std::span<pollfd> fds, RpcDeadline deadline) {
+  for (;;) {
+    const int ms = RemainingMs(deadline);
+    if (ms == 0) return 0;
+    const int rc = ::poll(fds.data(), fds.size(), ms);
+    if (rc >= 0) return rc;
+    if (errno != EINTR) return ErrnoStatus("poll");
+  }
+}
+
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     Close();
@@ -76,8 +80,7 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   return *this;
 }
 
-Result<Socket> Socket::Connect(const std::string& host, uint16_t port,
-                               RpcDeadline deadline) {
+Result<Socket> Socket::StartConnect(const std::string& host, uint16_t port) {
   struct sockaddr_in addr = {};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -86,64 +89,56 @@ Result<Socket> Socket::Connect(const std::string& host, uint16_t port,
   }
   Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
   if (!sock.valid()) return ErrnoStatus("socket");
-  // Non-blocking connect so the deadline bounds the handshake too.
+  // Non-blocking for the socket's whole lifetime: the handshake and
+  // every later send/recv return instead of waiting, so a caller's
+  // poll(2) deadline bounds all of them.
   QRANK_RETURN_NOT_OK(SetNonBlocking(sock.fd(), true));
+  SetNoDelay(sock.fd());
   const int rc = ::connect(sock.fd(), reinterpret_cast<sockaddr*>(&addr),
                            sizeof addr);
-  if (rc < 0) {
-    if (errno != EINPROGRESS) return ErrnoStatus("connect");
-    QRANK_RETURN_NOT_OK(WaitReady(sock.fd(), POLLOUT, deadline, "connect"));
-    int err = 0;
-    socklen_t len = sizeof err;
-    if (::getsockopt(sock.fd(), SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
-      return ErrnoStatus("getsockopt(SO_ERROR)");
-    }
-    if (err != 0) {
-      return Status::IOError(std::string("connect: ") + std::strerror(err));
-    }
-  }
-  // The socket stays non-blocking for its lifetime: SendAll/RecvAll
-  // pace every syscall with poll(2), so a single send/recv can never
-  // block past the remaining deadline (a blocking send of a frame
-  // larger than the socket buffer would stall until the peer drains
-  // it, unbounded by the poll-side deadline).
-  SetNoDelay(sock.fd());
+  if (rc < 0 && errno != EINPROGRESS) return ErrnoStatus("connect");
   return sock;
 }
 
-Status Socket::SendAll(const uint8_t* data, size_t len, RpcDeadline deadline) {
-  if (!valid()) return Status::FailedPrecondition("send on closed socket");
-  size_t sent = 0;
-  while (sent < len) {
-    QRANK_RETURN_NOT_OK(WaitReady(fd_, POLLOUT, deadline, "send"));
-    const ssize_t n = ::send(fd_, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      continue;
-    }
-    return ErrnoStatus("send");
+Status Socket::FinishConnect() {
+  int err = 0;
+  socklen_t len = sizeof err;
+  if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
+    return ErrnoStatus("getsockopt(SO_ERROR)");
+  }
+  if (err != 0) {
+    return Status::IOError(std::string("connect: ") + std::strerror(err));
   }
   return Status::OK();
 }
 
-Status Socket::RecvAll(uint8_t* data, size_t len, RpcDeadline deadline) {
-  if (!valid()) return Status::FailedPrecondition("recv on closed socket");
-  size_t got = 0;
-  while (got < len) {
-    QRANK_RETURN_NOT_OK(WaitReady(fd_, POLLIN, deadline, "recv"));
-    const ssize_t n = ::recv(fd_, data + got, len - got, 0);
-    if (n > 0) {
-      got += static_cast<size_t>(n);
-      continue;
-    }
-    if (n == 0) return Status::IOError("connection closed by peer");
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    return ErrnoStatus("recv");
+Result<Socket> Socket::Connect(const std::string& host, uint16_t port,
+                               RpcDeadline deadline) {
+  QRANK_ASSIGN_OR_RETURN(Socket sock, StartConnect(host, port));
+  QRANK_RETURN_NOT_OK(WaitReady(sock.fd(), POLLOUT, deadline, "connect"));
+  QRANK_RETURN_NOT_OK(sock.FinishConnect());
+  return sock;
+}
+
+Result<size_t> Socket::SendSome(std::span<const uint8_t> bytes) {
+  if (!valid()) return Status::FailedPrecondition("send on closed socket");
+  for (;;) {
+    const ssize_t n = ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n >= 0) return static_cast<size_t>(n);
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
+    if (errno != EINTR) return ErrnoStatus("send");
   }
-  return Status::OK();
+}
+
+Result<size_t> Socket::RecvSome(std::span<uint8_t> bytes) {
+  if (!valid()) return Status::FailedPrecondition("recv on closed socket");
+  for (;;) {
+    const ssize_t n = ::recv(fd_, bytes.data(), bytes.size(), 0);
+    if (n > 0) return static_cast<size_t>(n);
+    if (n == 0) return Status::IOError("connection closed by peer");
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
+    if (errno != EINTR) return ErrnoStatus("recv");
+  }
 }
 
 void Socket::Shutdown() {
@@ -157,27 +152,51 @@ void Socket::Close() {
   }
 }
 
+Result<bool> FrameReader::Read(Socket& sock, std::vector<uint8_t>* frame) {
+  if (got_ == 0) frame->resize(kFrameHeaderBytes);
+  for (;;) {
+    if (got_ == frame->size()) {
+      if (have_header_) {
+        QRANK_ASSIGN_OR_RETURN(header_, DecodeFrame(*frame));
+        return true;
+      }
+      // payload_len is validated against kMaxFramePayload by
+      // DecodeFrameHeader before this resize can run.
+      QRANK_ASSIGN_OR_RETURN(header_, DecodeFrameHeader(*frame));
+      have_header_ = true;
+      frame->resize(kFrameHeaderBytes + header_.payload_len);
+      continue;
+    }
+    QRANK_ASSIGN_OR_RETURN(
+        const size_t n,
+        sock.RecvSome(std::span<uint8_t>(*frame).subspan(got_)));
+    if (n == 0) return false;
+    got_ += n;
+  }
+}
+
 Status SendFrame(Socket& sock, std::span<const uint8_t> frame,
                  RpcDeadline deadline) {
   QRANK_CHECK(frame.size() >= kFrameHeaderBytes)
       << "SendFrame given a non-frame buffer";
-  return sock.SendAll(frame.data(), frame.size(), deadline);
+  for (;;) {
+    QRANK_ASSIGN_OR_RETURN(const size_t n, sock.SendSome(frame));
+    frame = frame.subspan(n);
+    if (frame.empty()) return Status::OK();
+    if (n == 0) {
+      QRANK_RETURN_NOT_OK(WaitReady(sock.fd(), POLLOUT, deadline, "send"));
+    }
+  }
 }
 
 Result<FrameHeader> RecvFrame(Socket& sock, std::vector<uint8_t>* frame,
                               RpcDeadline deadline) {
-  frame->clear();
-  frame->resize(kFrameHeaderBytes);
-  QRANK_RETURN_NOT_OK(
-      sock.RecvAll(frame->data(), kFrameHeaderBytes, deadline));
-  Result<FrameHeader> header = DecodeFrameHeader(*frame);
-  if (!header.ok()) return header;
-  // payload_len is validated against kMaxFramePayload by
-  // DecodeFrameHeader before this resize can run.
-  frame->resize(kFrameHeaderBytes + header.value().payload_len);
-  QRANK_RETURN_NOT_OK(sock.RecvAll(frame->data() + kFrameHeaderBytes,
-                                   header.value().payload_len, deadline));
-  return DecodeFrame(*frame);
+  FrameReader reader;
+  for (;;) {
+    QRANK_ASSIGN_OR_RETURN(const bool done, reader.Read(sock, frame));
+    if (done) return reader.header();
+    QRANK_RETURN_NOT_OK(WaitReady(sock.fd(), POLLIN, deadline, "recv"));
+  }
 }
 
 RpcServer::RpcServer(Options options, FrameHandler handler)

@@ -1,23 +1,32 @@
 // Socket transport of the distributed query tier: an RAII TCP socket
-// with deadline-bounded I/O, framed send/receive over the QRKF wire
-// format, and a thread-per-connection RPC server.
+// with non-blocking I/O primitives, an incremental QRKF frame reader,
+// deadline-bounded blocking wrappers over both, and a
+// thread-per-connection RPC server.
 //
-// Threading model (deliberately simple, mirroring mithril's
-// BasicServer): the server runs one accept thread plus one thread per
-// live connection; sockets are O_NONBLOCK for their whole lifetime and
-// every operation loops poll(2)+syscall, so each individual send/recv
-// — not just the wait for readiness — is bounded by the remaining
-// deadline. Cancellation is by disconnect — a
-// caller that gives up on a request shuts the socket down, which makes
-// the peer's blocked read fail and tears the stream down instead of
-// leaving it desynchronized (a QRKF stream has no request framing to
-// resynchronize on after an abandoned response).
+// Sockets are O_NONBLOCK for their whole lifetime. The non-blocking
+// layer (StartConnect/FinishConnect, SendSome/RecvSome, FrameReader)
+// never waits: it moves whatever bytes the kernel has ready and reports
+// how far it got. The coordinator drives it from one poll(2) loop over
+// every in-flight connection. The blocking calls (Connect, SendFrame,
+// RecvFrame) are thin wait loops over the same primitives, each wait
+// bounded by the remaining deadline, so every caller shares one connect
+// path and one frame parser.
 //
-// All shared state is annotated (QRANK_GUARDED_BY) and uses
-// qrank::Mutex; the loopback suites run under TSan in CI.
+// Cancellation is by disconnect: a caller that gives up on a request
+// closes the socket, which fails the peer's next read or write and
+// tears the stream down instead of leaving it desynchronized (a QRKF
+// stream has no request framing to resynchronize on after an abandoned
+// response).
+//
+// The server (deliberately simple, mirroring mithril's BasicServer)
+// runs one accept thread plus one thread per live connection. Its
+// shared state is annotated (QRANK_GUARDED_BY) and uses qrank::Mutex;
+// the loopback suites run under TSan in CI.
 
 #ifndef QRANK_DIST_RPC_H_
 #define QRANK_DIST_RPC_H_
+
+#include <poll.h>
 
 #include <chrono>
 #include <cstdint>
@@ -38,13 +47,17 @@ namespace qrank {
 using RpcDeadline = std::chrono::steady_clock::time_point;
 inline constexpr RpcDeadline kNoRpcDeadline = RpcDeadline::max();
 
-/// Move-only RAII wrapper over a connected TCP socket fd.
+/// Waits in poll(2) until one of `fds` is ready or `deadline` passes
+/// (EINTR is retried). Returns the number of ready entries; 0 means the
+/// deadline passed.
+Result<int> PollUntil(std::span<pollfd> fds, RpcDeadline deadline);
+
+/// Move-only RAII wrapper over a non-blocking TCP socket fd.
 ///
 /// A Socket is owned and used by ONE thread at a time; the only
 /// cross-thread operation is Shutdown(), which is async-safe against a
-/// concurrent blocked Send/Recv on the same object (it calls
-/// ::shutdown, never ::close, so the fd cannot be recycled under the
-/// blocked thread).
+/// concurrent blocked wait on the same object (it calls ::shutdown,
+/// never ::close, so the fd cannot be recycled under the waiter).
 class Socket {
  public:
   Socket() = default;
@@ -61,16 +74,23 @@ class Socket {
   static Result<Socket> Connect(const std::string& host, uint16_t port,
                                 RpcDeadline deadline);
 
+  /// Starts a non-blocking connect. The socket polls writable once the
+  /// handshake has finished, successfully or not; FinishConnect then
+  /// reports which.
+  static Result<Socket> StartConnect(const std::string& host, uint16_t port);
+  Status FinishConnect();
+
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Sends exactly len bytes or fails (IOError on disconnect or
-  /// deadline).
-  Status SendAll(const uint8_t* data, size_t len, RpcDeadline deadline);
+  /// Sends what the kernel accepts right now, up to `bytes.size()`.
+  /// Returns the count sent (0 = would block); IOError on disconnect.
+  Result<size_t> SendSome(std::span<const uint8_t> bytes);
 
-  /// Receives exactly len bytes or fails. A clean EOF before any byte
-  /// of this read maps to IOError("connection closed").
-  Status RecvAll(uint8_t* data, size_t len, RpcDeadline deadline);
+  /// Receives what has arrived, up to `bytes.size()`. Returns the count
+  /// received (0 = nothing yet); a clean EOF is IOError("connection
+  /// closed by peer").
+  Result<size_t> RecvSome(std::span<uint8_t> bytes);
 
   /// Half-closes both directions, failing any blocked or future I/O on
   /// this socket. Safe to call from another thread; idempotent.
@@ -82,14 +102,41 @@ class Socket {
   int fd_ = -1;
 };
 
-/// Sends one already-encoded QRKF frame.
+/// Incremental reader of one QRKF frame from a non-blocking socket.
+/// Each Read() consumes what the socket has ready and never reads past
+/// the frame's end. The header is validated before the payload buffer
+/// is sized (hardened reader contract), the payload CRC once the last
+/// byte is in. Any corruption fails the read; callers treat that as a
+/// dead stream.
+class FrameReader {
+ public:
+  /// Forgets any partial frame; the next Read starts a new one.
+  void Reset() {
+    got_ = 0;
+    have_header_ = false;
+  }
+
+  /// Reads into *frame (header + payload; the buffer is reused across
+  /// frames). Returns true once the whole frame is in and validated,
+  /// false when the socket would block first.
+  Result<bool> Read(Socket& sock, std::vector<uint8_t>* frame);
+
+  /// The validated header; only meaningful after Read returned true.
+  const FrameHeader& header() const { return header_; }
+
+ private:
+  size_t got_ = 0;
+  bool have_header_ = false;
+  FrameHeader header_;
+};
+
+/// Sends one already-encoded QRKF frame, waiting for buffer space up to
+/// the deadline.
 Status SendFrame(Socket& sock, std::span<const uint8_t> frame,
                  RpcDeadline deadline);
 
-/// Receives one frame into *frame (header + payload, buffer reused
-/// across calls) and fully validates it — header sanity before the
-/// payload read is sized (hardened reader contract), then payload CRC.
-/// Any corruption fails the call; callers treat that as a dead stream.
+/// Receives one validated frame into *frame (see FrameReader), waiting
+/// for bytes up to the deadline.
 Result<FrameHeader> RecvFrame(Socket& sock, std::vector<uint8_t>* frame,
                               RpcDeadline deadline);
 

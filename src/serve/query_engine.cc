@@ -198,27 +198,12 @@ QRANK_HOT Status QueryEngine::TopKOnBundle(const LoadedBundle& bundle,
     // Pandey-style randomized promotion: each slot independently
     // flips to a uniformly random eligible page (first-come slots keep
     // their position — the promoted page inherits the impression).
-    Rng rng(query.exploration_seed);
-    const size_t out_size = scratch->out_size_;
-    for (size_t j = 0; j < out_size; ++j) {
-      if (!rng.Bernoulli(eps)) continue;
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        const NodeId row =
-            query.site != kAllSites
-                ? group[rng.UniformUint64(group.size())]
-                : static_cast<NodeId>(rng.UniformUint64(n));
-        bool duplicate = false;
-        for (size_t i = 0; i < out_size; ++i) {
-          if (out[i].row == row) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (duplicate) continue;
-        out[j] = TopKEntry{row, ids[row], blend(row), true};
-        break;
-      }
-    }
+    DrawExplorationPromotions(
+        query.exploration_seed, eps, group, n,
+        std::span<const TopKEntry>(out, scratch->out_size_),
+        [out, &ids, &blend](size_t j, NodeId row) {
+          out[j] = TopKEntry{row, ids[row], blend(row), true};
+        });
   }
   return Status::OK();
 }

@@ -39,6 +39,7 @@
 #ifndef QRANK_SERVE_QUERY_ENGINE_H_
 #define QRANK_SERVE_QUERY_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -84,6 +85,37 @@ struct TopKEntry {
   double score = 0.0;   // blended score
   bool promoted = false;  // true when placed by the exploration mix
 };
+
+/// The exploration draws, shared by QueryEngine::TopK and the
+/// coordinator's replay of them over a merged distributed result (both
+/// must consume one Rng stream identically for the answers to match).
+/// Each slot j of `results` flips a Bernoulli(epsilon) coin; on heads
+/// it makes up to 8 uniform draws from the eligible rows — `group` when
+/// non-empty, else [0, num_rows) — and promotes the first row not
+/// already in `results`. promote(j, row) must store row into
+/// results[j].row: later draws are checked against the updated slots.
+template <typename Promote>
+void DrawExplorationPromotions(uint64_t seed, double epsilon,
+                               std::span<const NodeId> group,
+                               uint64_t num_rows,
+                               std::span<const TopKEntry> results,
+                               Promote&& promote) {
+  Rng rng(seed);
+  for (size_t j = 0; j < results.size(); ++j) {
+    if (!rng.Bernoulli(epsilon)) continue;
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      const NodeId row =
+          group.empty() ? static_cast<NodeId>(rng.UniformUint64(num_rows))
+                        : group[rng.UniformUint64(group.size())];
+      const bool duplicate =
+          std::any_of(results.begin(), results.end(),
+                      [row](const TopKEntry& e) { return e.row == row; });
+      if (duplicate) continue;
+      promote(j, row);
+      break;
+    }
+  }
+}
 
 /// Reusable per-thread query scratch. One instance per serving thread;
 /// results() is valid until the next TopK call on the same scratch.

@@ -9,20 +9,30 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "dist/coordinator.h"
+#include "dist/rpc.h"
 #include "dist/shard_map.h"
 #include "dist/worker.h"
 #include "serve/query_engine.h"
 #include "serve/score_bundle.h"
+#include "temp_dir.h"
 
 namespace qrank {
 namespace {
@@ -54,10 +64,9 @@ const LoadedBundle& Bundle() {
 }
 
 const ShardSplit& Split() {
+  static const ScopedTempDir dir("fault_shards");
   static const ShardSplit split = [] {
-    const std::string dir = ::testing::TempDir() + "/fault_shards";
-    ::mkdir(dir.c_str(), 0755);
-    Result<ShardSplit> s = SplitBundleBySite(Bundle(), 2, dir);
+    Result<ShardSplit> s = SplitBundleBySite(Bundle(), 2, dir.path());
     QRANK_CHECK(s.ok()) << s.status().ToString();
     return std::move(s).value();
   }();
@@ -89,6 +98,136 @@ std::vector<TopKEntry> Oracle(const TopKQuery& query) {
   QRANK_CHECK(QueryEngine::TopKOnBundle(Bundle(), query, &scratch).ok());
   return {scratch.results().begin(), scratch.results().end()};
 }
+
+/// A loopback TCP relay in front of one worker, for the coordinator's
+/// partial-I/O paths. Requests pass through untouched; responses are
+/// forwarded per the mode the relay had when the connection was
+/// accepted, so switching modes affects only new connections.
+class Relay {
+ public:
+  enum class Mode {
+    kPassThrough,
+    kTrickle,          // one byte per write, with a short gap after each
+    kStallAfterHalf,   // half of the first response frame, then nothing
+  };
+
+  Relay(uint16_t upstream_port, Mode mode)
+      : upstream_port_(upstream_port), mode_(mode) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    QRANK_CHECK(listen_fd_ >= 0);
+    struct sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    QRANK_CHECK(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                       sizeof addr) == 0);
+    QRANK_CHECK(::listen(listen_fd_, 16) == 0);
+    QRANK_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                              &len) == 0);
+    port_ = ntohs(addr.sin_port);
+    accept_thread_ = std::thread([this] { AcceptLoop(); });
+  }
+
+  ~Relay() {
+    stopping_.store(true);
+    accept_thread_.join();  // no new pumps after this
+    for (std::thread& t : pumps_) t.join();
+    ::close(listen_fd_);
+  }
+
+  Relay(const Relay&) = delete;
+  Relay& operator=(const Relay&) = delete;
+
+  uint16_t port() const { return port_; }
+  void set_mode(Mode mode) { mode_.store(mode); }
+  int connections() const { return connections_.load(); }
+  size_t trickled_bytes() const { return trickled_bytes_.load(); }
+
+ private:
+  static constexpr int kPollMs = 10;  // stop-flag check interval
+
+  void AcceptLoop() {
+    while (!stopping_.load()) {
+      struct pollfd p = {listen_fd_, POLLIN, 0};
+      if (::poll(&p, 1, kPollMs) <= 0) continue;
+      const int client = ::accept(listen_fd_, nullptr, nullptr);
+      if (client < 0) continue;
+      connections_.fetch_add(1);
+      const Mode mode = mode_.load();
+      pumps_.emplace_back([this, client, mode] { Pump(client, mode); });
+    }
+  }
+
+  /// Blocking send of all `len` bytes; false once the peer is gone.
+  static bool SendAll(int fd, const uint8_t* data, size_t len) {
+    while (len > 0) {
+      const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      data += n;
+      len -= static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  void Pump(int client, Mode mode) {
+    int one = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    Result<Socket> up = Socket::Connect("127.0.0.1", upstream_port_,
+                                        Clock::now() + milliseconds(2000));
+    QRANK_CHECK(up.ok()) << up.status().ToString();
+    // The relay's upstream side blocks; only its wait is polled.
+    const int upstream = up.value().fd();
+    ::fcntl(upstream, F_SETFL, ::fcntl(upstream, F_GETFL, 0) & ~O_NONBLOCK);
+
+    std::vector<uint8_t> response;  // stall mode: bytes of frame 1 so far
+    bool stalled = false;
+    uint8_t buf[4096];
+    struct pollfd fds[2] = {{client, POLLIN, 0}, {upstream, POLLIN, 0}};
+    while (!stopping_.load()) {
+      fds[1].events = stalled ? 0 : POLLIN;
+      if (::poll(fds, 2, kPollMs) <= 0) continue;
+      if (fds[0].revents != 0) {
+        const ssize_t n = ::recv(client, buf, sizeof buf, 0);
+        if (n <= 0 || !SendAll(upstream, buf, static_cast<size_t>(n))) break;
+      }
+      if (fds[1].revents == 0) continue;
+      const ssize_t n = ::recv(upstream, buf, sizeof buf, 0);
+      if (n <= 0) break;
+      if (mode == Mode::kPassThrough) {
+        if (!SendAll(client, buf, static_cast<size_t>(n))) break;
+      } else if (mode == Mode::kTrickle) {
+        bool ok = true;
+        for (ssize_t i = 0; ok && i < n; ++i) {
+          ok = SendAll(client, buf + i, 1);
+          trickled_bytes_.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        if (!ok) break;
+      } else {
+        response.insert(response.end(), buf, buf + n);
+        if (response.size() < kFrameHeaderBytes) continue;
+        const Result<FrameHeader> header = DecodeFrameHeader(response);
+        QRANK_CHECK(header.ok()) << header.status().ToString();
+        const size_t half =
+            (kFrameHeaderBytes + header.value().payload_len) / 2;
+        if (response.size() < half) continue;
+        if (!SendAll(client, response.data(), half)) break;
+        stalled = true;  // hold the rest until the client hangs up
+      }
+    }
+    ::close(client);
+  }
+
+  const uint16_t upstream_port_;
+  std::atomic<Mode> mode_;
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::atomic<bool> stopping_{false};
+  std::atomic<int> connections_{0};
+  std::atomic<size_t> trickled_bytes_{0};
+  std::vector<std::thread> pumps_;  // accept-thread-owned until joined
+  std::thread accept_thread_;
+};
 
 TEST(DistFaultTest, DeadWorkerDegradesWithinDeadlineAndRejoins) {
   auto w0 = StartWorker(0, 0, milliseconds(0));
@@ -352,6 +491,84 @@ TEST(DistFaultTest, WorkerCountsQueriesAndSurvivesCoordinatorRestart) {
   }
   EXPECT_GE(w0->queries_served(), 2u);
   EXPECT_GE(w1->queries_served(), 2u);
+}
+
+TEST(DistFaultTest, TrickledResponseIsReassembledExactly) {
+  // Shard 1's responses arrive one byte per segment, so the
+  // coordinator's frame reader sees the header and the payload in many
+  // partial reads. With hedging off, only that reassembly can answer.
+  auto w0 = StartWorker(0, 0, milliseconds(0));
+  auto w1 = StartWorker(1, 0, milliseconds(0));
+  Relay relay(w1->port(), Relay::Mode::kTrickle);
+
+  CoordinatorOptions options;
+  options.query_deadline = milliseconds(5000);
+  options.hedge_delay = milliseconds(5000);  // >= deadline: no hedging
+  std::vector<ShardAddress> addresses(2);
+  addresses[0].primary.port = w0->port();
+  addresses[1].primary.port = relay.port();
+  Coordinator coord(LoadShardMap(Split().map_path).value(), addresses,
+                    options);
+  ASSERT_TRUE(coord.Start().ok());
+
+  const std::vector<TopKEntry> want = Oracle(GlobalQuery());
+  DistTopKResult result;
+  for (int round = 0; round < 2; ++round) {  // round 2 reuses the stream
+    ASSERT_TRUE(coord.TopK(GlobalQuery(), &result).ok());
+    EXPECT_FALSE(result.degraded);
+    EXPECT_EQ(result.shards_answered, 2u);
+    ASSERT_EQ(result.entries.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(result.entries[i].row, want[i].row);
+      EXPECT_EQ(result.entries[i].score, want[i].score);
+    }
+  }
+  EXPECT_GT(relay.trickled_bytes(), size_t{2} * kFrameHeaderBytes);
+  EXPECT_EQ(relay.connections(), 1);
+  coord.Stop();
+}
+
+TEST(DistFaultTest, HalfFrameStallDegradesOnTimeThenReconnects) {
+  // Shard 1's connection delivers half a response frame and then goes
+  // silent without closing. The query must degrade on the deadline like
+  // a slow shard; the next query must drop that stream, reconnect, and
+  // be exact.
+  auto w0 = StartWorker(0, 0, milliseconds(0));
+  auto w1 = StartWorker(1, 0, milliseconds(0));
+  Relay relay(w1->port(), Relay::Mode::kStallAfterHalf);
+
+  CoordinatorOptions options;
+  options.query_deadline = milliseconds(250);
+  options.hedge_delay = milliseconds(60);
+  std::vector<ShardAddress> addresses(2);
+  addresses[0].primary.port = w0->port();
+  addresses[1].primary.port = relay.port();
+  Coordinator coord(LoadShardMap(Split().map_path).value(), addresses,
+                    options);
+  ASSERT_TRUE(coord.Start().ok());
+
+  DistTopKResult result;
+  const Clock::time_point t0 = Clock::now();
+  ASSERT_TRUE(coord.TopK(GlobalQuery(), &result).ok());
+  const auto elapsed = Clock::now() - t0;
+  EXPECT_TRUE(result.degraded);
+  EXPECT_EQ(result.shards_answered, 1u);
+  EXPECT_GE(elapsed, milliseconds(240));
+  EXPECT_LT(elapsed, options.query_deadline + milliseconds(200))
+      << "a half-delivered frame must not hold the wave past its deadline";
+
+  relay.set_mode(Relay::Mode::kPassThrough);
+  const int stalled_connections = relay.connections();
+  ASSERT_TRUE(coord.TopK(GlobalQuery(), &result).ok());
+  EXPECT_FALSE(result.degraded) << "coordinator must reconnect after a stall";
+  EXPECT_GT(relay.connections(), stalled_connections);
+  const std::vector<TopKEntry> want = Oracle(GlobalQuery());
+  ASSERT_EQ(result.entries.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(result.entries[i].row, want[i].row);
+    EXPECT_EQ(result.entries[i].score, want[i].score);
+  }
+  coord.Stop();
 }
 
 }  // namespace
