@@ -3,8 +3,9 @@
 // Covers the repro hint "efficient sparse matrix PageRank": power
 // iteration vs Gauss-Seidel vs adaptive vs quadratic extrapolation on
 // Barabasi-Albert graphs of growing size, at the tolerance used by the
-// Section 8 pipeline. Iteration counts are exported as counters so the
-// acceleration claims of [11]/[12] are visible alongside wall-clock.
+// Section 8 pipeline, plus warm DeltaPageRank on both of its paths.
+// Iteration counts are exported as counters so the acceleration claims
+// of [11]/[12] are visible alongside wall-clock.
 
 #include <benchmark/benchmark.h>
 
@@ -19,11 +20,14 @@
 #include "common/rng.h"
 #include "graph/analysis.h"
 #include "graph/generators.h"
+#include "graph/graph_delta.h"
 #include "graph/reorder.h"
 #include "rank/adaptive_pagerank.h"
+#include "rank/delta_pagerank.h"
 #include "rank/extrapolation.h"
 #include "rank/opic.h"
 #include "rank/pagerank.h"
+#include "rank/rank_vector.h"
 #include "rank/sweep_ops.h"
 
 namespace {
@@ -272,6 +276,101 @@ void BM_PageRankSiteLocalityXL(benchmark::State& state) {
 }
 
 // ---------------------------------------------------------------------------
+// Warm DeltaPageRank after one change to the 131k-page site graph, on
+// both engine paths: period 1 (fused warm Jacobi kernel, what ingest
+// runs) and period 8 (the frozen-set engine, what SnapshotSeries runs).
+//  * growth: about one ingest-stream generation — ~1.1k in-site link
+//    adds, 130 links to newly born pages, 200 removals. Each birth
+//    changes the teleport share 1/n of every row, so most rows wake.
+//  * site_local: 10 link adds inside each of 10 sites, no new pages;
+//    the perturbation stays local and most rows stay frozen.
+// The two rows per regime record the split that keeps both periods.
+// ---------------------------------------------------------------------------
+
+enum class DeltaRegime { kGrowth, kSiteLocal };
+
+struct DeltaCase {
+  qrank::CsrGraph graph;          // the changed graph
+  std::vector<uint8_t> frontier;  // its dirty frontier
+  std::vector<double> warm;       // converged pre-change scores, resized
+};
+
+DeltaCase MakeDeltaCase(DeltaRegime regime) {
+  constexpr qrank::NodeId kPagesPerSite = 200;
+  qrank::Rng rng(4242);
+  const qrank::CsrGraph g0 =
+      qrank::CsrGraph::FromEdgeList(
+          qrank::GenerateSiteClustered(655, kPagesPerSite, 12, 6, &rng)
+              .value())
+          .value();
+  const qrank::NodeId n0 = g0.num_nodes();
+  std::vector<qrank::Edge> edges;
+  edges.reserve(g0.num_edges() + 1500);
+  for (qrank::NodeId u = 0; u < n0; ++u) {
+    for (qrank::NodeId v : g0.OutNeighbors(u)) edges.push_back({u, v});
+  }
+  auto add_in_site = [&](qrank::NodeId site) {
+    const qrank::NodeId base = site * kPagesPerSite;
+    const auto src =
+        base + static_cast<qrank::NodeId>(rng.UniformUint64(kPagesPerSite));
+    const auto dst =
+        base + static_cast<qrank::NodeId>(rng.UniformUint64(kPagesPerSite));
+    if (src != dst) edges.push_back({src, dst});
+  };
+  const qrank::NodeId num_sites = n0 / kPagesPerSite;
+  qrank::NodeId n1 = n0;
+  if (regime == DeltaRegime::kGrowth) {
+    for (int k = 0; k < 200; ++k) {
+      const size_t i = rng.UniformUint64(edges.size());
+      edges[i] = edges.back();
+      edges.pop_back();
+    }
+    for (int k = 0; k < 1100; ++k) {
+      add_in_site(static_cast<qrank::NodeId>(rng.UniformUint64(num_sites)));
+    }
+    for (int k = 0; k < 130; ++k) {
+      edges.push_back(
+          {static_cast<qrank::NodeId>(rng.UniformUint64(n0)), n1++});
+    }
+  } else {
+    for (qrank::NodeId site = 0; site < 10; ++site) {
+      for (int k = 0; k < 10; ++k) add_in_site(site * (num_sites / 10));
+    }
+  }
+  DeltaCase c;
+  c.graph = qrank::CsrGraph::FromEdges(n1, edges).value();
+  c.frontier = qrank::GraphDelta::Between(g0, c.graph).DirtyFrontier(c.graph);
+  c.warm = qrank::ProjectToSize(
+      qrank::ComputePageRank(g0, qrank::PageRankOptions{})->scores, n1);
+  c.graph.BuildTranspose();  // outside the timed region
+  return c;
+}
+
+void BM_DeltaPageRank(benchmark::State& state, DeltaRegime regime) {
+  static const DeltaCase growth = MakeDeltaCase(DeltaRegime::kGrowth);
+  static const DeltaCase site_local = MakeDeltaCase(DeltaRegime::kSiteLocal);
+  const DeltaCase& c = regime == DeltaRegime::kGrowth ? growth : site_local;
+  qrank::DeltaPageRankOptions o;  // the ingest tolerance and damping
+  o.base.initial_scores = c.warm;
+  o.full_sweep_period = static_cast<uint32_t>(state.range(0));
+  uint32_t iterations = 0;
+  uint64_t updates = 0;
+  for (auto _ : state) {
+    auto r = qrank::ComputeDeltaPageRank(c.graph, c.frontier, o);
+    iterations = r->base.iterations;
+    updates = r->node_updates;
+    benchmark::DoNotOptimize(r->base.scores.data());
+  }
+  size_t dirty = 0;
+  for (uint8_t f : c.frontier) dirty += f != 0;
+  const double n = static_cast<double>(c.graph.num_nodes());
+  state.counters["iters"] = iterations;
+  state.counters["upd/iter/node"] =
+      static_cast<double>(updates) / (static_cast<double>(iterations) * n);
+  state.counters["dirty_frac"] = static_cast<double>(dirty) / n;
+}
+
+// ---------------------------------------------------------------------------
 // Kernel throughput: scalar vs SIMD x raw vs compressed transpose, on
 // the sitexl graph under the --order= relabeling. Fixed 20 Jacobi
 // iterations; counters carry edges/s, the resolved dispatch level and
@@ -428,6 +527,14 @@ BENCHMARK(BM_PageRankSiteLocality)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
 BENCHMARK(BM_PageRankSiteLocalityXL)->Arg(1)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DeltaPageRank, growth, DeltaRegime::kGrowth)
+    ->ArgName("period")->Arg(1)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DeltaPageRank, site_local, DeltaRegime::kSiteLocal)
+    ->ArgName("period")->Arg(1)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
 BENCHMARK(BM_PageRankKernelScalar)->Arg(1)

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "audit/audit.h"
 #include "common/logging.h"
 #include "core/bundle_export.h"
@@ -43,6 +47,11 @@ IngestStageStats SummarizeStage(const LatencyHistogram& h) {
 DeltaPageRankOptions DefaultIngestRankOptions() {
   DeltaPageRankOptions options;
   options.base.scale = ScaleConvention::kTotalMassN;
+  // Nearly every ingest generation adds pages, and a page birth changes
+  // the uniform teleport 1/n of every row, so most rows wake anyway and
+  // the frozen-set bookkeeping costs more than it skips: solve on the
+  // fused warm-started Jacobi kernel instead.
+  options.full_sweep_period = 1;
   return options;
 }
 
@@ -135,6 +144,13 @@ Status IngestService::Stop() {
     // pipe; the exporter drains the pipe then exits.
     if (consumer_.joinable()) consumer_.join();
     if (exporter_.joinable()) exporter_.join();
+#if defined(__GLIBC__)
+    // The last generations' freed buffers sit in the stage threads'
+    // malloc arenas, where no other thread reuses them; hand them back
+    // once, now that those threads are gone. (Not per generation: that
+    // costs burst latency.)
+    malloc_trim(0);
+#endif
   }
   return status();
 }

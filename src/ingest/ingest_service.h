@@ -83,7 +83,8 @@
 namespace qrank {
 
 /// DeltaPageRank defaults for serving: the paper's Section 8 mass-n
-/// convention (what the bundle pipeline elsewhere uses).
+/// convention (what the bundle pipeline elsewhere uses), solved as
+/// plain warm-started Jacobi on the fused kernel (full_sweep_period 1).
 DeltaPageRankOptions DefaultIngestRankOptions();
 
 struct IngestOptions {

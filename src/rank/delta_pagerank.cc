@@ -30,33 +30,17 @@ enum RowStatus : uint8_t {
   kMoved = 1,      // recomputed, crossed the budget: announce downstream
 };
 
-}  // namespace
-
-Result<DeltaPageRankResult> ComputeDeltaPageRank(
-    const CsrGraph& graph, const std::vector<uint8_t>& dirty_frontier,
-    const DeltaPageRankOptions& options) {
-  QRANK_RETURN_NOT_OK(ValidateOptions(graph, options.base));
-  if (options.freeze_threshold <= 0.0 || options.freeze_threshold >= 1.0) {
-    return Status::InvalidArgument("freeze_threshold must be in (0, 1)");
-  }
-  if (options.full_sweep_period == 0) {
-    return Status::InvalidArgument("full_sweep_period must be >= 1");
-  }
+// The frozen-set engine (header comment): pages outside the dirty
+// frontier start frozen and wake on demand; every full_sweep_period-th
+// sweep recomputes every row for the exact convergence check.
+std::vector<double> SolveFrozenSet(const CsrGraph& graph,
+                                   const std::vector<uint8_t>& dirty_frontier,
+                                   const DeltaPageRankOptions& options,
+                                   const std::vector<double>& v,
+                                   DeltaPageRankResult* out) {
+  DeltaPageRankResult& result = *out;
   const NodeId n = graph.num_nodes();
-  if (!dirty_frontier.empty() && dirty_frontier.size() != n) {
-    return Status::InvalidArgument(
-        "dirty_frontier must be empty or have num_nodes entries");
-  }
-
-  DeltaPageRankResult result;
-  result.drift_budget = options.freeze_threshold * options.base.tolerance;
-  if (n == 0) {
-    result.base.converged = true;
-    return result;
-  }
-
   const double alpha = options.base.damping;
-  const std::vector<double> v = TeleportDistribution(graph, options.base);
   std::vector<double> x = rank_internal::InitialIterate(options.base, v);
 
   graph.BuildTranspose();
@@ -308,6 +292,49 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
                result.drift_budget * (1.0 + 1e-9))
       << "drift ledger " << result.drift_ledger_total
       << " overran its budget " << result.drift_budget;
+  return x;
+}
+
+}  // namespace
+
+Result<DeltaPageRankResult> ComputeDeltaPageRank(
+    const CsrGraph& graph, const std::vector<uint8_t>& dirty_frontier,
+    const DeltaPageRankOptions& options) {
+  QRANK_RETURN_NOT_OK(ValidateOptions(graph, options.base));
+  if (options.freeze_threshold <= 0.0 || options.freeze_threshold >= 1.0) {
+    return Status::InvalidArgument("freeze_threshold must be in (0, 1)");
+  }
+  if (options.full_sweep_period == 0) {
+    return Status::InvalidArgument("full_sweep_period must be >= 1");
+  }
+  const NodeId n = graph.num_nodes();
+  if (!dirty_frontier.empty() && dirty_frontier.size() != n) {
+    return Status::InvalidArgument(
+        "dirty_frontier must be empty or have num_nodes entries");
+  }
+
+  DeltaPageRankResult result;
+  result.drift_budget = options.freeze_threshold * options.base.tolerance;
+  if (n == 0) {
+    result.base.converged = true;
+    return result;
+  }
+
+  const std::vector<double> v = TeleportDistribution(graph, options.base);
+  std::vector<double> x;
+  if (options.full_sweep_period == 1) {
+    // Every sweep recomputes every row, so no row is ever skipped and
+    // the frozen-set bookkeeping would be pure overhead: run the fused
+    // batch kernel — the same warm-started Jacobi iterates, iteration
+    // count and residual, bit for bit. Nothing is ever hidden, so the
+    // drift ledger stays zero and the frontier is moot.
+    rank_internal::SolveJacobi(graph, options.base, v, &result.base);
+    result.node_updates =
+        static_cast<uint64_t>(result.base.iterations) * n;
+    x = std::move(result.base.scores);
+  } else {
+    x = SolveFrozenSet(graph, dirty_frontier, options, v, &result);
+  }
   // Frozen rows break Jacobi's automatic mass conservation; restore the
   // probability scale before applying the requested convention.
   NormalizeSum(&x, 1.0);

@@ -29,6 +29,14 @@ void ApplyScale(const CsrGraph& graph, const PageRankOptions& options,
 std::vector<double> InitialIterate(const PageRankOptions& options,
                                    const std::vector<double>& teleport);
 
+/// Plain Jacobi on the fused kernel (rank/pagerank_kernel.h) from
+/// InitialIterate(options, teleport) until the L1 residual drops under
+/// options.tolerance or options.max_iterations run out. Fills scores
+/// (probability scale, before FinishResult), iterations, residual and
+/// converged in *result.
+void SolveJacobi(const CsrGraph& graph, const PageRankOptions& options,
+                 const std::vector<double>& teleport, PageRankResult* result);
+
 /// Enforces require_convergence and applies scaling.
 Status FinishResult(const CsrGraph& graph, const PageRankOptions& options,
                     PageRankResult* result);

@@ -146,6 +146,21 @@ void ApplyScale(const CsrGraph& graph, const PageRankOptions& options,
   }
 }
 
+void SolveJacobi(const CsrGraph& graph, const PageRankOptions& options,
+                 const std::vector<double>& teleport, PageRankResult* result) {
+  PageRankKernel kernel(graph, options, teleport,
+                        InitialIterate(options, teleport));
+  for (uint32_t iter = 1; iter <= options.max_iterations; ++iter) {
+    result->residual = kernel.Sweep();
+    result->iterations = iter;
+    if (result->residual < options.tolerance) {
+      result->converged = true;
+      break;
+    }
+  }
+  result->scores = kernel.TakeScores();
+}
+
 Status FinishResult(const CsrGraph& graph, const PageRankOptions& options,
                     PageRankResult* result) {
   if (!result->converged && options.require_convergence) {
@@ -193,20 +208,8 @@ Result<PageRankResult> ComputePageRank(const CsrGraph& graph,
   // iterates are bit-identical for every thread count. The per-sweep
   // work (residual, dangling carry, out-share refresh) is fused into a
   // single allocation-free pass; see rank/pagerank_kernel.h.
-  const std::vector<double> v = TeleportDistribution(graph, options);
-  rank_internal::PageRankKernel kernel(
-      graph, options, v, rank_internal::InitialIterate(options, v));
-
-  for (uint32_t iter = 1; iter <= options.max_iterations; ++iter) {
-    result.residual = kernel.Sweep();
-    result.iterations = iter;
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.scores = kernel.TakeScores();
+  rank_internal::SolveJacobi(graph, options,
+                             TeleportDistribution(graph, options), &result);
   QRANK_RETURN_NOT_OK(FinishResult(graph, options, &result));
   if constexpr (kAuditLevel >= 2) {
     // Jacobi's declared convergence means the last update moved less

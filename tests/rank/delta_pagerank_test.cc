@@ -154,18 +154,54 @@ TEST(DeltaPageRankTest, TotalMassNScale) {
 }
 
 TEST(DeltaPageRankTest, FullSweepPeriodOneIsPlainWarmJacobi) {
-  CsrGraph g = RandomGraph(800, 4, 29);
+  // Period 1 skips no row, so it must be exactly ComputePageRank warm-
+  // started from the same vector (then renormalized): bitwise scores,
+  // the same iterations and residual, n updates per iteration, nothing
+  // frozen or hidden. The successor graph grows by 40 dangling pages
+  // (the ingest regime: every row's teleport share changes), and the
+  // all-frozen frontier is ignored.
+  CsrGraph g0 = RandomGraph(12000, 4, 29);
   PageRankOptions base;
   base.tolerance = 1e-11;
-  DeltaPageRankOptions options;
-  options.base = base;
-  options.full_sweep_period = 1;
-  std::vector<uint8_t> frontier(g.num_nodes(), 0);  // all frozen...
-  DeltaPageRankResult r = ComputeDeltaPageRank(g, frontier, options).value();
-  PageRankResult plain = ComputePageRank(g, base).value();
-  // ...but period 1 recomputes everything each round anyway.
-  EXPECT_TRUE(r.base.converged);
-  EXPECT_LT(L1Distance(r.base.scores, plain.scores), 1e-9);
+  std::vector<double> warm = ComputePageRank(g0, base).value().scores;
+
+  Rng rng(31);
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < g0.num_nodes(); ++u) {
+    for (NodeId v : g0.OutNeighbors(u)) edges.push_back({u, v});
+  }
+  const NodeId n = g0.num_nodes() + 40;
+  for (int k = 0; k < 200; ++k) {
+    NodeId u = static_cast<NodeId>(rng.UniformUint64(g0.num_nodes()));
+    NodeId v = static_cast<NodeId>(rng.UniformUint64(n));
+    if (u != v) edges.push_back({u, v});
+  }
+  CsrGraph g1 = CsrGraph::FromEdges(n, edges).value();
+  warm.resize(n, 1.0 / static_cast<double>(n));
+  base.initial_scores = warm;
+
+  for (int threads : {1, 2, 4}) {
+    base.num_threads = threads;
+    DeltaPageRankOptions options;
+    options.base = base;
+    options.full_sweep_period = 1;
+    std::vector<uint8_t> frontier(n, 0);
+    DeltaPageRankResult r = ComputeDeltaPageRank(g1, frontier, options).value();
+    PageRankResult plain = ComputePageRank(g1, base).value();
+    NormalizeSum(&plain.scores, 1.0);
+
+    EXPECT_TRUE(r.base.converged) << "threads=" << threads;
+    EXPECT_EQ(r.base.iterations, plain.iterations) << "threads=" << threads;
+    EXPECT_EQ(r.base.residual, plain.residual) << "threads=" << threads;
+    EXPECT_EQ(r.node_updates, uint64_t{r.base.iterations} * n);
+    EXPECT_EQ(r.frozen_at_end, 0u);
+    EXPECT_EQ(r.drift_ledger_total, 0.0);
+    ASSERT_EQ(r.base.scores.size(), plain.scores.size());
+    for (size_t i = 0; i < plain.scores.size(); ++i) {
+      ASSERT_EQ(r.base.scores[i], plain.scores[i])
+          << "node " << i << " threads=" << threads;
+    }
+  }
 }
 
 TEST(DeltaPageRankTest, ValidatesOptions) {

@@ -126,7 +126,8 @@ TEST(ParallelEquivalenceTest, ParallelAgreesWithSerialGaussSeidelReference) {
 TEST(ParallelEquivalenceTest, DeltaPageRankBitIdenticalAcrossThreads) {
   // The incremental engine shares the contract: same graph, same dirty
   // frontier, same warm start => bit-identical scores, iteration counts
-  // and work counters for every thread count.
+  // and work counters for every thread count — on the frozen-set path
+  // (period 8) and on the fused-kernel path (period 1).
   CsrGraph g0 = RandomGraph(31, 3000, 5);
   PageRankOptions base;
   base.tolerance = 1e-11;
@@ -147,25 +148,29 @@ TEST(ParallelEquivalenceTest, DeltaPageRankBitIdenticalAcrossThreads) {
   GraphDelta delta = GraphDelta::Between(g0, g1);
   std::vector<uint8_t> frontier = delta.DirtyFrontier(g1);
 
-  DeltaPageRankOptions options;
-  options.base = base;
-  options.base.initial_scores = r0.scores;
-  options.base.num_threads = 1;
-  DeltaPageRankResult serial =
-      ComputeDeltaPageRank(g1, frontier, options).value();
-  for (int threads : kThreadCounts) {
-    options.base.num_threads = threads;
-    DeltaPageRankResult parallel =
+  for (uint32_t period : {8u, 1u}) {
+    DeltaPageRankOptions options;
+    options.base = base;
+    options.base.initial_scores = r0.scores;
+    options.base.num_threads = 1;
+    options.full_sweep_period = period;
+    DeltaPageRankResult serial =
         ComputeDeltaPageRank(g1, frontier, options).value();
-    EXPECT_EQ(parallel.base.iterations, serial.base.iterations)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.base.residual, serial.base.residual);
-    EXPECT_EQ(parallel.node_updates, serial.node_updates);
-    EXPECT_EQ(parallel.frozen_at_end, serial.frozen_at_end);
-    ASSERT_EQ(parallel.base.scores.size(), serial.base.scores.size());
-    for (size_t i = 0; i < serial.base.scores.size(); ++i) {
-      ASSERT_EQ(parallel.base.scores[i], serial.base.scores[i])
-          << "node " << i << " threads=" << threads;
+    for (int threads : kThreadCounts) {
+      options.base.num_threads = threads;
+      DeltaPageRankResult parallel =
+          ComputeDeltaPageRank(g1, frontier, options).value();
+      EXPECT_EQ(parallel.base.iterations, serial.base.iterations)
+          << "period=" << period << " threads=" << threads;
+      EXPECT_EQ(parallel.base.residual, serial.base.residual);
+      EXPECT_EQ(parallel.node_updates, serial.node_updates);
+      EXPECT_EQ(parallel.frozen_at_end, serial.frozen_at_end);
+      ASSERT_EQ(parallel.base.scores.size(), serial.base.scores.size());
+      for (size_t i = 0; i < serial.base.scores.size(); ++i) {
+        ASSERT_EQ(parallel.base.scores[i], serial.base.scores[i])
+            << "node " << i << " period=" << period
+            << " threads=" << threads;
+      }
     }
   }
 }
