@@ -277,14 +277,17 @@ void BM_PageRankSiteLocalityXL(benchmark::State& state) {
 
 // ---------------------------------------------------------------------------
 // Warm DeltaPageRank after one change to the 131k-page site graph, on
-// both engine paths: period 1 (fused warm Jacobi kernel, what ingest
-// runs) and period 8 (the frozen-set engine, what SnapshotSeries runs).
+// both engine paths: period 1 (the fused kernel; sweep:gs is what
+// ingest runs) and period 8 (the frozen-set engine, what SnapshotSeries
+// runs; Jacobi only).
 //  * growth: about one ingest-stream generation — ~1.1k in-site link
 //    adds, 130 links to newly born pages, 200 removals. Each birth
 //    changes the teleport share 1/n of every row, so most rows wake.
 //  * site_local: 10 link adds inside each of 10 sites, no new pages;
 //    the perturbation stays local and most rows stay frozen.
-// The two rows per regime record the split that keeps both periods.
+// The rows per regime record the split that keeps both periods, and
+// the Jacobi-vs-Gauss-Seidel sweep counts; --partition= picks the row
+// partition (the Gauss-Seidel blocks).
 // ---------------------------------------------------------------------------
 
 enum class DeltaRegime { kGrowth, kSiteLocal };
@@ -346,12 +349,15 @@ DeltaCase MakeDeltaCase(DeltaRegime regime) {
   return c;
 }
 
-void BM_DeltaPageRank(benchmark::State& state, DeltaRegime regime) {
+void BM_DeltaPageRank(benchmark::State& state, DeltaRegime regime,
+                      qrank::SweepMethod sweep) {
   static const DeltaCase growth = MakeDeltaCase(DeltaRegime::kGrowth);
   static const DeltaCase site_local = MakeDeltaCase(DeltaRegime::kSiteLocal);
   const DeltaCase& c = regime == DeltaRegime::kGrowth ? growth : site_local;
   qrank::DeltaPageRankOptions o;  // the ingest tolerance and damping
   o.base.initial_scores = c.warm;
+  o.base.partition = g_partition;
+  o.base.sweep = sweep;
   o.full_sweep_period = static_cast<uint32_t>(state.range(0));
   uint32_t iterations = 0;
   uint64_t updates = 0;
@@ -529,12 +535,25 @@ BENCHMARK(BM_PageRankSiteLocality)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 BENCHMARK(BM_PageRankSiteLocalityXL)->Arg(1)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_DeltaPageRank, growth, DeltaRegime::kGrowth)
+BENCHMARK_CAPTURE(BM_DeltaPageRank, growth/sweep:jacobi, DeltaRegime::kGrowth,
+                  qrank::SweepMethod::kJacobi)
     ->ArgName("period")->Arg(1)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_DeltaPageRank, site_local, DeltaRegime::kSiteLocal)
+BENCHMARK_CAPTURE(BM_DeltaPageRank, growth/sweep:gs, DeltaRegime::kGrowth,
+                  qrank::SweepMethod::kBlockGaussSeidel)
+    ->ArgName("period")->Arg(1)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DeltaPageRank, site_local/sweep:jacobi,
+                  DeltaRegime::kSiteLocal, qrank::SweepMethod::kJacobi)
     ->ArgName("period")->Arg(1)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DeltaPageRank, site_local/sweep:gs,
+                  DeltaRegime::kSiteLocal,
+                  qrank::SweepMethod::kBlockGaussSeidel)
+    ->ArgName("period")->Arg(1)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
 BENCHMARK(BM_PageRankKernelScalar)->Arg(1)

@@ -83,8 +83,9 @@
 namespace qrank {
 
 /// DeltaPageRank defaults for serving: the paper's Section 8 mass-n
-/// convention (what the bundle pipeline elsewhere uses), solved as
-/// plain warm-started Jacobi on the fused kernel (full_sweep_period 1).
+/// convention (what the bundle pipeline elsewhere uses), solved warm on
+/// the fused kernel (full_sweep_period 1) with block Gauss-Seidel
+/// sweeps closed by a Jacobi convergence check.
 DeltaPageRankOptions DefaultIngestRankOptions();
 
 struct IngestOptions {

@@ -38,9 +38,13 @@ void LatencyHistogram::AddNanos(uint64_t nanos) {
 double LatencyHistogram::PercentileNanos(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  // Rank of the q-th order statistic (1-based, nearest-rank method).
-  const uint64_t rank = std::max<uint64_t>(
-      1, static_cast<uint64_t>(q * static_cast<double>(count_) + 0.5));
+  // Rank of the q-th order statistic (1-based, nearest-rank method:
+  // ceil(q * N)). The slack keeps a product that rounds a hair above an
+  // integer (0.07 * 100) from skipping to the next rank.
+  const uint64_t rank = std::clamp<uint64_t>(
+      static_cast<uint64_t>(
+          std::ceil(q * static_cast<double>(count_) - 1e-9)),
+      1, count_);
   uint64_t seen = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
     seen += counts_[i];

@@ -307,6 +307,11 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
   if (options.full_sweep_period == 0) {
     return Status::InvalidArgument("full_sweep_period must be >= 1");
   }
+  if (options.full_sweep_period >= 2 &&
+      options.base.sweep == SweepMethod::kBlockGaussSeidel) {
+    return Status::InvalidArgument(
+        "block Gauss-Seidel sweeps need full_sweep_period 1");
+  }
   const NodeId n = graph.num_nodes();
   if (!dirty_frontier.empty() && dirty_frontier.size() != n) {
     return Status::InvalidArgument(
@@ -325,9 +330,10 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
   if (options.full_sweep_period == 1) {
     // Every sweep recomputes every row, so no row is ever skipped and
     // the frozen-set bookkeeping would be pure overhead: run the fused
-    // batch kernel — the same warm-started Jacobi iterates, iteration
-    // count and residual, bit for bit. Nothing is ever hidden, so the
-    // drift ledger stays zero and the frontier is moot.
+    // batch kernel — ComputePageRank's warm-started iterates (Jacobi, or
+    // Gauss-Seidel then Jacobi per options.base.sweep), iteration count
+    // and residual, bit for bit. Nothing is ever hidden, so the drift
+    // ledger stays zero and the frontier is moot.
     rank_internal::SolveJacobi(graph, options.base, v, &result.base);
     result.node_updates =
         static_cast<uint64_t>(result.base.iterations) * n;

@@ -61,12 +61,14 @@ struct DeltaPageRankOptions {
   /// sub-budget drift that frozen rows accumulate, so stretching the
   /// period trades cheaper iteration for a longer convergence tail at
   /// tight tolerances. Must be >= 1. At 1 no row is ever skipped, so the
-  /// engine is plain warm-started Jacobi and runs on the fused batch
-  /// kernel (rank/pagerank_kernel.h): the dirty frontier is moot and
-  /// the scores, iterations and residual are exactly ComputePageRank's
-  /// from the same initial_scores. That is the right setting when every
-  /// row moves anyway — e.g. page births, which change the uniform
-  /// teleport 1/n of every row (see DefaultIngestRankOptions()).
+  /// engine runs the fused batch kernel (rank/pagerank_kernel.h) with
+  /// base.sweep — warm-started Jacobi, or block Gauss-Seidel closed by
+  /// Jacobi: the dirty frontier is moot and the scores, iterations and
+  /// residual are exactly ComputePageRank's from the same
+  /// initial_scores. That is the right setting when every row moves
+  /// anyway — e.g. page births, which change the uniform teleport 1/n of
+  /// every row (see DefaultIngestRankOptions()). kBlockGaussSeidel
+  /// needs period 1 (InvalidArgument otherwise).
   uint32_t full_sweep_period = 8;
 };
 

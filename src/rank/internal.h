@@ -29,11 +29,13 @@ void ApplyScale(const CsrGraph& graph, const PageRankOptions& options,
 std::vector<double> InitialIterate(const PageRankOptions& options,
                                    const std::vector<double>& teleport);
 
-/// Plain Jacobi on the fused kernel (rank/pagerank_kernel.h) from
-/// InitialIterate(options, teleport) until the L1 residual drops under
-/// options.tolerance or options.max_iterations run out. Fills scores
-/// (probability scale, before FinishResult), iterations, residual and
-/// converged in *result.
+/// The fused kernel (rank/pagerank_kernel.h) from InitialIterate(
+/// options, teleport): Jacobi sweeps, preceded under
+/// SweepMethod::kBlockGaussSeidel by Gauss-Seidel sweeps until their
+/// change drops under options.tolerance, until a Jacobi residual drops
+/// under options.tolerance or options.max_iterations run out. Fills
+/// scores (probability scale, before FinishResult), iterations (both
+/// kinds), residual and converged in *result.
 void SolveJacobi(const CsrGraph& graph, const PageRankOptions& options,
                  const std::vector<double>& teleport, PageRankResult* result);
 

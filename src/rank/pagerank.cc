@@ -79,6 +79,11 @@ Status ValidateOptions(const CsrGraph& graph, const PageRankOptions& options) {
   if (options.max_iterations == 0) {
     return Status::InvalidArgument("max_iterations must be >= 1");
   }
+  if (options.sweep == SweepMethod::kBlockGaussSeidel &&
+      options.use_compressed_transpose) {
+    return Status::InvalidArgument(
+        "block Gauss-Seidel sweeps need the raw transpose");
+  }
   if (!options.personalization.empty()) {
     if (options.personalization.size() != graph.num_nodes()) {
       return Status::InvalidArgument(
@@ -150,12 +155,20 @@ void SolveJacobi(const CsrGraph& graph, const PageRankOptions& options,
                  const std::vector<double>& teleport, PageRankResult* result) {
   PageRankKernel kernel(graph, options, teleport,
                         InitialIterate(options, teleport));
+  // Gauss-Seidel sweeps (if asked for) until their own change meets
+  // tolerance, then Jacobi sweeps: convergence is declared only on a
+  // Jacobi residual, so the a-posteriori bound is Jacobi's either way.
+  bool gauss_seidel = options.sweep == SweepMethod::kBlockGaussSeidel;
   for (uint32_t iter = 1; iter <= options.max_iterations; ++iter) {
-    result->residual = kernel.Sweep();
+    result->residual =
+        gauss_seidel ? kernel.GaussSeidelSweep() : kernel.Sweep();
     result->iterations = iter;
     if (result->residual < options.tolerance) {
-      result->converged = true;
-      break;
+      if (!gauss_seidel) {
+        result->converged = true;
+        break;
+      }
+      gauss_seidel = false;
     }
   }
   result->scores = kernel.TakeScores();

@@ -64,6 +64,16 @@ const char* SweepPartitionName(SweepPartition partition);
 /// Parses the names above; false on unknown input.
 bool ParseSweepPartition(const std::string& text, SweepPartition* out);
 
+/// How the fused kernel updates rows within one sweep (DESIGN.md §5g).
+enum class SweepMethod {
+  /// Every row pulls last sweep's values: the reference iteration.
+  kJacobi,
+  /// Inside each block of the fixed partition, a row pulls this sweep's
+  /// values for the block's earlier rows. Fewer sweeps to the same
+  /// tolerance; convergence is still declared on a closing Jacobi sweep.
+  kBlockGaussSeidel,
+};
+
 /// Instruction-set variant of the fused pull sweep (see
 /// rank/pagerank_kernel.h and DESIGN.md §5g). Scalar is the default
 /// and the oracle; AVX2 reproduces its 4-accumulator fold bit-for-bit
@@ -139,6 +149,16 @@ struct PageRankOptions {
   /// same fold — trading decode ALU for the memory traffic the sweep
   /// is bound on. The encode is cached on the graph like the transpose.
   bool use_compressed_transpose = false;
+
+  /// Sweep of the fused kernel, honored by ComputePageRank and by
+  /// ComputeDeltaPageRank at full_sweep_period 1 (other engines ignore
+  /// it). kBlockGaussSeidel runs block Gauss-Seidel sweeps until their
+  /// L1 change drops under tolerance, then Jacobi sweeps until a Jacobi
+  /// residual does, so the result carries Jacobi's error bound;
+  /// `iterations` counts both kinds. Scores depend on the partition but
+  /// not on the thread count. Incompatible with use_compressed_transpose
+  /// (InvalidArgument).
+  SweepMethod sweep = SweepMethod::kJacobi;
 };
 
 struct PageRankResult {

@@ -1,9 +1,11 @@
 #include "rank/pagerank_kernel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "common/annotations.h"
+#include "common/logging.h"
 
 #include "rank/sweep_impl.h"
 
@@ -137,6 +139,27 @@ PageRankKernel::PageRankKernel(const CsrGraph& graph,
     block_fn_ = funcs_.raw_block;
   }
 
+  if (options.sweep == SweepMethod::kBlockGaussSeidel) {
+    // Where each row's sorted sources cross its block start and the row
+    // itself. Found once here rather than per sweep: two binary searches
+    // a row would cost a GS sweep about half a Jacobi sweep again.
+    gs_run_ends_.assign(2 * size_t{n_}, 0);
+    ParallelForPartition(
+        bounds_,
+        [this](size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) {
+            const NodeId* row = in_sources_.data() + in_offsets_[i];
+            const NodeId* end = in_sources_.data() + in_offsets_[i + 1];
+            const NodeId* old_end =
+                std::lower_bound(row, end, static_cast<NodeId>(lo));
+            const NodeId* fresh_end =
+                std::lower_bound(old_end, end, static_cast<NodeId>(i));
+            gs_run_ends_[2 * i] = static_cast<uint32_t>(old_end - row);
+            gs_run_ends_[2 * i + 1] = static_cast<uint32_t>(fresh_end - row);
+          }
+        },
+        par_);
+  }
   inv_outdeg_.assign(n_, 0.0);
   for (NodeId u = 0; u < n_; ++u) {
     const uint32_t d = graph.OutDegree(u);
@@ -166,7 +189,13 @@ PageRankKernel::PageRankKernel(const CsrGraph& graph,
   dangling_ = seeded[0];
 }
 
-QRANK_HOT double PageRankKernel::Sweep() {
+double PageRankKernel::GaussSeidelSweep() {
+  QRANK_CHECK(gs_run_ends_.size() == 2 * size_t{n_})
+      << "kernel was not built for Gauss-Seidel sweeps";
+  return Run(funcs_.gauss_seidel_block);
+}
+
+QRANK_HOT double PageRankKernel::Run(BlockSweepFn block) {
   SweepArgs args;
   args.in_off = in_offsets_.data();
   args.in_src = in_sources_.data();
@@ -178,10 +207,10 @@ QRANK_HOT double PageRankKernel::Sweep() {
   args.inv_outdeg = inv_outdeg_.data();
   args.next = next_.data();
   args.next_out_share = next_out_share_.data();
+  args.gs_run_ends = gs_run_ends_.data();
   args.alpha = alpha_;
   args.base_weight = 1.0 - alpha_ + alpha_ * dangling_;
 
-  const BlockSweepFn block = block_fn_;
   const std::array<double, 2> sums = ParallelReducePartition<2>(
       bounds_,
       [&args, block](size_t lo, size_t hi) { return block(args, lo, hi); },

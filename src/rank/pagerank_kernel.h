@@ -19,6 +19,11 @@
 // through the fixed pairwise tree of common/parallel_for.h — so scores
 // are bit-identical for every --threads value (the substrate's
 // determinism contract, load-bearing for the quality estimator).
+//
+// GaussSeidelSweep() runs the same fused pass as a block Gauss-Seidel
+// sweep: inside each block, rows read the out-shares the block has
+// already refreshed this sweep. A block still reads no other block's
+// fresh values, so the thread-count contract holds (DESIGN.md §5g).
 
 #ifndef QRANK_RANK_PAGERANK_KERNEL_H_
 #define QRANK_RANK_PAGERANK_KERNEL_H_
@@ -56,7 +61,16 @@ class PageRankKernel {
 
   /// One fused Jacobi application: x <- F(x). Returns the L1 residual
   /// ||x_new - x_old||_1. Allocation-free.
-  double Sweep();
+  double Sweep() { return Run(block_fn_); }
+
+  /// One block Gauss-Seidel sweep over the same partition: row i of a
+  /// block pulls this sweep's values for the block's rows before i and
+  /// last sweep's for all others (sweep_impl.h). Scores stay
+  /// bit-identical at any thread count. Returns the L1 change of the
+  /// sweep. Needs a kernel built with options.sweep ==
+  /// kBlockGaussSeidel (which finds each row's run ends once).
+  /// Allocation-free.
+  double GaussSeidelSweep();
 
   const std::vector<double>& scores() const { return x_; }
   std::vector<double> TakeScores() { return std::move(x_); }
@@ -69,6 +83,8 @@ class PageRankKernel {
   bool compressed() const { return compressed_; }
 
  private:
+  double Run(BlockSweepFn block);
+
   const NodeId n_;
   const double alpha_;
   const std::vector<double>& v_;  // teleport distribution
@@ -88,6 +104,7 @@ class PageRankKernel {
   std::vector<double> next_;
   std::vector<double> out_share_;       // x_[u] * inv_outdeg_[u]
   std::vector<double> next_out_share_;  // double buffer, swapped per sweep
+  std::vector<uint32_t> gs_run_ends_;  // SweepArgs::gs_run_ends; GS only
   std::vector<double> reduce_scratch_;  // per-block partials, reused
   double dangling_;  // sum of x_[u] over dangling u, carried sweep-to-sweep
 };

@@ -21,6 +21,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "common/annotations.h"
 #include "graph/compressed_csr.h"
@@ -97,8 +98,21 @@ QRANK_HOT inline double CompressedScalarPullRow(const uint8_t* p, const uint8_t*
 // The fused row loop of PageRankKernel::Sweep (see pagerank_kernel.h
 // for the full story): next scores + L1 residual + carried dangling
 // mass + next out-shares in one pass over rows [lo, hi).
-template <class Acc, bool kCompressed>
+//
+// kGaussSeidel makes it a block Gauss-Seidel sweep: row i pulls this
+// sweep's out-share for in-block sources in [lo, i) and last sweep's
+// for every other source. A transpose row is sorted by source, so that
+// is three contiguous runs (< lo, [lo, i), >= i), whose ends the kernel
+// finds once at construction (gs_run_ends), streamed through one
+// accumulator.
+// Accumulate calls compose (tails land in lane 0 in both the scalar and
+// the AVX2 fold), so AVX2 stays bit-exact against scalar, and a block
+// reads no other block's fresh values, so no thread count changes a
+// bit (DESIGN.md §5g).
+template <class Acc, bool kCompressed, bool kGaussSeidel = false>
 QRANK_HOT std::array<double, 2> BlockSweep(const SweepArgs& a, size_t lo, size_t hi) {
+  static_assert(!(kCompressed && kGaussSeidel),
+                "Gauss-Seidel sweeps pull from the raw transpose only");
   // Hoist every field into restrict-qualified locals: the stores to
   // next/next_out_share would otherwise force the compiler to reload
   // the argument block (and re-derive the row pointers) each row.
@@ -111,7 +125,11 @@ QRANK_HOT std::array<double, 2> BlockSweep(const SweepArgs& a, size_t lo, size_t
   const double* __restrict out_share = a.out_share;
   const double* __restrict inv_outdeg = a.inv_outdeg;
   double* __restrict next = a.next;
-  double* __restrict next_out_share = a.next_out_share;
+  // The Gauss-Seidel loop reads next_out_share where it writes it, so
+  // there the pointer must not promise the compiler otherwise.
+  std::conditional_t<kGaussSeidel, double*, double* __restrict>
+      next_out_share = a.next_out_share;
+  const uint32_t* __restrict gs_run_ends = a.gs_run_ends;
   const double alpha = a.alpha;
   const double base_weight = a.base_weight;
   double residual = 0.0;
@@ -121,6 +139,19 @@ QRANK_HOT std::array<double, 2> BlockSweep(const SweepArgs& a, size_t lo, size_t
     if constexpr (kCompressed) {
       pull = CompressedScalarPullRow(bytes + byte_off[i],
                                      bytes + byte_off[i + 1], out_share);
+    } else if constexpr (kGaussSeidel) {
+      const NodeId* row = in_src + in_off[i];
+      const size_t count = in_off[i + 1] - in_off[i];
+      const size_t old_end = gs_run_ends[2 * i];
+      const size_t fresh_end = gs_run_ends[2 * i + 1];
+      Acc acc;
+      // Sources before the block are rare when links stay near their
+      // targets (1.5% of rows on the 131k site graph); skipping the
+      // empty run changes no bit.
+      if (old_end != 0) [[unlikely]] acc.Accumulate(row, old_end, out_share);
+      acc.Accumulate(row + old_end, fresh_end - old_end, next_out_share);
+      acc.Accumulate(row + fresh_end, count - fresh_end, out_share);
+      pull = acc.Fold();
     } else {
       const size_t begin = in_off[i];
       pull = PullRow<Acc>(in_src + begin, in_off[i + 1] - begin, out_share);
@@ -139,6 +170,8 @@ SweepFuncs MakeSweepFuncs(SimdLevel level) {
   SweepFuncs funcs;
   funcs.level = level;
   funcs.raw_block = &BlockSweep<Acc, /*kCompressed=*/false>;
+  funcs.gauss_seidel_block =
+      &BlockSweep<Acc, /*kCompressed=*/false, /*kGaussSeidel=*/true>;
   // NOT a per-TU instantiation: the compressed sweep must come from the
   // scalar TU so no ISA TU's implied FMA can re-round its row update
   // (see the declaration in sweep_ops.h).

@@ -48,12 +48,16 @@ struct SweepArgs {
   const double* inv_outdeg = nullptr;
   double* next = nullptr;
   double* next_out_share = nullptr;
+  // Gauss-Seidel only: per row i of block [lo, hi), the number of its
+  // sources below lo and below i (entries 2i and 2i + 1).
+  const uint32_t* gs_run_ends = nullptr;
   double alpha = 0.0;
   double base_weight = 0.0;
 };
 
 /// Fused sweep over rows [lo, hi): writes next/next_out_share, returns
-/// {L1 residual, next dangling mass} for the block.
+/// {L1 residual, next dangling mass} for the block. The Gauss-Seidel
+/// variant also reads next_out_share for the block's earlier rows.
 using BlockSweepFn = std::array<double, 2> (*)(const SweepArgs&, size_t lo,
                                                size_t hi);
 
@@ -73,6 +77,7 @@ struct SweepFuncs {
   SimdLevel level = SimdLevel::kScalar;  // what actually got resolved
   BlockSweepFn raw_block = nullptr;
   BlockSweepFn compressed_block = nullptr;
+  BlockSweepFn gauss_seidel_block = nullptr;  // raw transpose only
   RowPullFn row_pull = nullptr;
   CompressedRowPullFn compressed_row_pull = nullptr;
 };

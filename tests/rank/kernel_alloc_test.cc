@@ -70,7 +70,7 @@ size_t AllocationsDuring(const std::function<void()>& fn) {
 
 // Constructs a kernel under `o` (construction may allocate and, for
 // the compressed path, builds the cached transpose encodings), then
-// proves 25 sweeps allocate nothing.
+// proves 25 sweeps of the kind o.sweep names allocate nothing.
 void ExpectSweepsAllocationFree(const PageRankOptions& o) {
   const CsrGraph g = TestGraph();
   const double uniform = 1.0 / static_cast<double>(g.num_nodes());
@@ -78,8 +78,11 @@ void ExpectSweepsAllocationFree(const PageRankOptions& o) {
   rank_internal::PageRankKernel kernel(
       g, o, teleport, std::vector<double>(g.num_nodes(), uniform));
   double residual = 0.0;
-  const size_t allocs = AllocationsDuring([&kernel, &residual] {
-    for (int i = 0; i < 25; ++i) residual = kernel.Sweep();
+  const bool gauss_seidel = o.sweep == SweepMethod::kBlockGaussSeidel;
+  const size_t allocs = AllocationsDuring([&kernel, &residual, gauss_seidel] {
+    for (int i = 0; i < 25; ++i) {
+      residual = gauss_seidel ? kernel.GaussSeidelSweep() : kernel.Sweep();
+    }
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(residual, 0.0);  // the sweeps really ran
@@ -112,12 +115,25 @@ TEST(KernelAllocTest, SimdCompressedSweepAllocatesNothing) {
   ExpectSweepsAllocationFree(o);
 }
 
-TEST(KernelAllocTest, JacobiAllocationsIndependentOfIterationCount) {
+TEST(KernelAllocTest, GaussSeidelSweepAllocatesNothing) {
+  // The per-row run splits are computed once at construction; a sweep
+  // only reads them.
+  for (KernelVariant kernel : {KernelVariant::kScalar, KernelVariant::kSimd}) {
+    PageRankOptions o = UnconvergedOptions(50);
+    o.kernel = kernel;
+    o.sweep = SweepMethod::kBlockGaussSeidel;
+    ExpectSweepsAllocationFree(o);
+  }
+}
+
+void ExpectAllocationsIndependentOfIterationCount(SweepMethod sweep) {
   const CsrGraph g = TestGraph();
   g.BuildTranspose();  // shared cache; exclude the one-time build
-  auto run = [&g](uint32_t iterations) {
-    return AllocationsDuring([&g, iterations] {
-      auto r = ComputePageRank(g, UnconvergedOptions(iterations));
+  auto run = [&g, sweep](uint32_t iterations) {
+    return AllocationsDuring([&g, sweep, iterations] {
+      PageRankOptions o = UnconvergedOptions(iterations);
+      o.sweep = sweep;
+      auto r = ComputePageRank(g, o);
       ASSERT_EQ(r->iterations, iterations);
     });
   };
@@ -126,6 +142,14 @@ TEST(KernelAllocTest, JacobiAllocationsIndependentOfIterationCount) {
   const size_t long_run = run(50);
   EXPECT_EQ(short_run, long_run);
   EXPECT_GT(short_run, 0u);  // result + kernel setup do allocate
+}
+
+TEST(KernelAllocTest, JacobiAllocationsIndependentOfIterationCount) {
+  ExpectAllocationsIndependentOfIterationCount(SweepMethod::kJacobi);
+}
+
+TEST(KernelAllocTest, GaussSeidelAllocationsIndependentOfIterationCount) {
+  ExpectAllocationsIndependentOfIterationCount(SweepMethod::kBlockGaussSeidel);
 }
 
 TEST(KernelAllocTest, DeltaEngineAllocationsIndependentOfIterationCount) {

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "rank/pagerank_kernel.h"
 
 namespace qrank {
 namespace {
@@ -245,6 +246,106 @@ TEST(PageRankTest, WarmStartScaleIsIrrelevant) {
   auto rb = ComputePageRank(g, b);
   ASSERT_TRUE(ra.ok() && rb.ok());
   EXPECT_EQ(ra->iterations, rb->iterations);
+}
+
+double L1Distance(const std::vector<double>& a, const std::vector<double>& b) {
+  double d = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) d += std::fabs(a[i] - b[i]);
+  return d;
+}
+
+CsrGraph SiteGraph() {
+  Rng rng(61);
+  return CsrGraph::FromEdgeList(
+             GenerateSiteClustered(60, 200, 8, 4, &rng).value())
+      .value();
+}
+
+TEST(PageRankTest, BlockGaussSeidelRejectsTheCompressedTranspose) {
+  CsrGraph g = SiteGraph();
+  PageRankOptions o;
+  o.sweep = SweepMethod::kBlockGaussSeidel;
+  o.use_compressed_transpose = true;
+  Result<PageRankResult> r = ComputePageRank(g, o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PageRankTest, BlockGaussSeidelKeepsTheJacobiErrorBound) {
+  // Convergence is declared on a closing Jacobi sweep, so a GS result
+  // carries Jacobi's a-posteriori bound: one more Jacobi sweep moves it
+  // by less than tol, and it lies within alpha * tol / (1 - alpha) of
+  // the fixed point, as the Jacobi result does.
+  const CsrGraph g = SiteGraph();
+  PageRankOptions o;
+  const PageRankResult jacobi = ComputePageRank(g, o).value();
+  o.sweep = SweepMethod::kBlockGaussSeidel;
+  const PageRankResult gs = ComputePageRank(g, o).value();
+  ASSERT_TRUE(jacobi.converged);
+  ASSERT_TRUE(gs.converged);
+  EXPECT_LT(gs.residual, o.tolerance);
+  EXPECT_NEAR(Sum(gs.scores), 1.0, 1e-9);
+
+  PageRankOptions one_sweep;
+  one_sweep.initial_scores = gs.scores;
+  one_sweep.max_iterations = 1;
+  const PageRankResult again = ComputePageRank(g, one_sweep).value();
+  EXPECT_LT(again.residual, o.tolerance);
+
+  const double alpha = o.damping;
+  EXPECT_LE(L1Distance(gs.scores, jacobi.scores),
+            2.0 * alpha * o.tolerance / (1.0 - alpha));
+}
+
+TEST(PageRankTest, BlockGaussSeidelStopsOnAJacobiSweep) {
+  // The stopping rule, replayed on the kernel: GS sweeps until one
+  // changes the iterate by less than tol, then Jacobi sweeps until a
+  // Jacobi residual is below tol. ComputePageRank must return exactly
+  // that iterate, sweep count and residual.
+  const CsrGraph g = SiteGraph();
+  PageRankOptions o;
+  o.sweep = SweepMethod::kBlockGaussSeidel;
+  const PageRankResult r = ComputePageRank(g, o).value();
+
+  const std::vector<double> v(g.num_nodes(),
+                              1.0 / static_cast<double>(g.num_nodes()));
+  rank_internal::PageRankKernel kernel(g, o, v, v);
+  uint32_t sweeps = 0;
+  double residual = 0.0;
+  do {
+    residual = kernel.GaussSeidelSweep();
+    ++sweeps;
+  } while (residual >= o.tolerance);
+  uint32_t jacobi_sweeps = 0;
+  do {
+    residual = kernel.Sweep();
+    ++jacobi_sweeps;
+  } while (residual >= o.tolerance);
+  EXPECT_GE(jacobi_sweeps, 1u);
+  EXPECT_EQ(r.iterations, sweeps + jacobi_sweeps);
+  EXPECT_EQ(r.residual, residual);
+  ASSERT_EQ(r.scores.size(), kernel.scores().size());
+  for (size_t i = 0; i < r.scores.size(); ++i) {
+    ASSERT_EQ(r.scores[i], kernel.scores()[i]) << "node " << i;
+  }
+}
+
+TEST(PageRankTest, BlockGaussSeidelNeedsFewerSweepsOnASiteGraph) {
+  // Links are mostly intra-site and sites sit inside one partition
+  // block, so most of a row's in-links read this sweep's values.
+  const CsrGraph g = SiteGraph();
+  for (SweepPartition partition :
+       {SweepPartition::kNodeBalanced, SweepPartition::kEdgeBalanced}) {
+    PageRankOptions o;
+    o.partition = partition;
+    const uint32_t jacobi = ComputePageRank(g, o).value().iterations;
+    o.sweep = SweepMethod::kBlockGaussSeidel;
+    const uint32_t gs = ComputePageRank(g, o).value().iterations;
+    // At least a fifth fewer sweeps, the closing Jacobi sweep included.
+    EXPECT_LE(gs * 5, jacobi * 4)
+        << SweepPartitionName(partition) << ": gs " << gs << " jacobi "
+        << jacobi;
+  }
 }
 
 class PageRankDampingTest : public ::testing::TestWithParam<double> {};

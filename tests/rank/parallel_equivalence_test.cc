@@ -105,6 +105,40 @@ TEST(ParallelEquivalenceTest, PageRankUnderNonDefaultOptions) {
   ExpectBitIdenticalScores(g, o);
 }
 
+TEST(ParallelEquivalenceTest, BlockGaussSeidelBitIdenticalAcrossThreads) {
+  // A block reads only its own rows' fresh values and every other row's
+  // previous-sweep value, so the Gauss-Seidel iterates depend on the
+  // fixed partition but never on which thread runs which block.
+  CsrGraph ba = RandomGraph(41, 6000, 5);
+  Rng rng(43);
+  CsrGraph sites = CsrGraph::FromEdgeList(
+                       GenerateSiteClustered(40, 150, 8, 4, &rng).value())
+                       .value();
+  for (const CsrGraph* g : {&ba, &sites}) {
+    for (SweepPartition partition :
+         {SweepPartition::kNodeBalanced, SweepPartition::kEdgeBalanced}) {
+      PageRankOptions o;
+      o.sweep = SweepMethod::kBlockGaussSeidel;
+      o.partition = partition;
+      o.num_threads = 1;
+      const PageRankResult serial = ComputePageRank(*g, o).value();
+      ASSERT_TRUE(serial.converged);
+      for (int threads : {2, 4, 8}) {
+        SCOPED_TRACE("partition=" + std::string(SweepPartitionName(partition)) +
+                     " threads=" + std::to_string(threads));
+        o.num_threads = threads;
+        const PageRankResult parallel = ComputePageRank(*g, o).value();
+        EXPECT_EQ(parallel.iterations, serial.iterations);
+        EXPECT_EQ(parallel.residual, serial.residual);
+        ASSERT_EQ(parallel.scores.size(), serial.scores.size());
+        for (size_t i = 0; i < serial.scores.size(); ++i) {
+          ASSERT_EQ(parallel.scores[i], serial.scores[i]) << "node " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(ParallelEquivalenceTest, ParallelAgreesWithSerialGaussSeidelReference) {
   // Cross-engine check: the parallel Jacobi fixed point must match the
   // deliberately-serial Gauss-Seidel reference engine to solver
@@ -127,7 +161,8 @@ TEST(ParallelEquivalenceTest, DeltaPageRankBitIdenticalAcrossThreads) {
   // The incremental engine shares the contract: same graph, same dirty
   // frontier, same warm start => bit-identical scores, iteration counts
   // and work counters for every thread count — on the frozen-set path
-  // (period 8) and on the fused-kernel path (period 1).
+  // (period 8) and on the fused-kernel path (period 1, Jacobi and block
+  // Gauss-Seidel).
   CsrGraph g0 = RandomGraph(31, 3000, 5);
   PageRankOptions base;
   base.tolerance = 1e-11;
@@ -148,11 +183,16 @@ TEST(ParallelEquivalenceTest, DeltaPageRankBitIdenticalAcrossThreads) {
   GraphDelta delta = GraphDelta::Between(g0, g1);
   std::vector<uint8_t> frontier = delta.DirtyFrontier(g1);
 
-  for (uint32_t period : {8u, 1u}) {
+  const std::pair<uint32_t, SweepMethod> engines[] = {
+      {8u, SweepMethod::kJacobi},
+      {1u, SweepMethod::kJacobi},
+      {1u, SweepMethod::kBlockGaussSeidel}};
+  for (const auto& [period, sweep] : engines) {
     DeltaPageRankOptions options;
     options.base = base;
     options.base.initial_scores = r0.scores;
     options.base.num_threads = 1;
+    options.base.sweep = sweep;
     options.full_sweep_period = period;
     DeltaPageRankResult serial =
         ComputeDeltaPageRank(g1, frontier, options).value();
@@ -161,7 +201,8 @@ TEST(ParallelEquivalenceTest, DeltaPageRankBitIdenticalAcrossThreads) {
       DeltaPageRankResult parallel =
           ComputeDeltaPageRank(g1, frontier, options).value();
       EXPECT_EQ(parallel.base.iterations, serial.base.iterations)
-          << "period=" << period << " threads=" << threads;
+          << "period=" << period << " sweep=" << static_cast<int>(sweep)
+          << " threads=" << threads;
       EXPECT_EQ(parallel.base.residual, serial.base.residual);
       EXPECT_EQ(parallel.node_updates, serial.node_updates);
       EXPECT_EQ(parallel.frozen_at_end, serial.frozen_at_end);

@@ -8,6 +8,8 @@
 //   - Compressed: the shared fused decode+accumulate uses the scalar
 //     fold, so compressed scores are bit-exact vs scalar raw for EVERY
 //     variant.
+//   - Block Gauss-Seidel sweeps: the same two contracts (AVX2 bit-exact,
+//     AVX-512 within the bound) against the scalar GS sweep.
 // Variants that the host (or build, or QRANK_FORCE_SIMD_LEVEL) cannot
 // dispatch resolve to a lower level; those cases degenerate to
 // scalar-vs-scalar and pass trivially, so the suite is safe on any CPU
@@ -121,7 +123,8 @@ bool ResolvesToAvx512(KernelVariant variant) {
 }
 
 void ExpectEquivalent(const NamedGraph& g, KernelVariant variant,
-                      bool compressed) {
+                      bool compressed,
+                      SweepMethod sweep = SweepMethod::kJacobi) {
   // Compressed rows always run the scalar fold; raw AVX-512 is the one
   // combination allowed the documented tolerance.
   const bool exact = compressed || !ResolvesToAvx512(variant);
@@ -131,6 +134,7 @@ void ExpectEquivalent(const NamedGraph& g, KernelVariant variant,
     // partition for residual/iteration equality to be meaningful.
     PageRankOptions scalar_options = FixedWorkOptions();
     scalar_options.partition = partition;
+    scalar_options.sweep = sweep;
     scalar_options.num_threads = 1;
     const Result<PageRankResult> oracle =
         ComputePageRank(g.graph, scalar_options);
@@ -140,8 +144,10 @@ void ExpectEquivalent(const NamedGraph& g, KernelVariant variant,
                    (compressed ? " compressed" : " raw") + " partition=" +
                    (partition == SweepPartition::kNodeBalanced ? "node"
                                                                : "edge") +
-                   " threads=" + std::to_string(threads));
+                   " threads=" + std::to_string(threads) +
+                   (sweep == SweepMethod::kJacobi ? "" : " gauss-seidel"));
       PageRankOptions o = FixedWorkOptions();
+      o.sweep = sweep;
       o.kernel = variant;
       o.use_compressed_transpose = compressed;
       o.partition = partition;
@@ -180,6 +186,24 @@ TEST(SimdEquivalenceTest, Avx512WithinToleranceOnAllGenerators) {
 TEST(SimdEquivalenceTest, BestSimdOnAllGenerators) {
   for (const NamedGraph& g : TestGraphs()) {
     ExpectEquivalent(g, KernelVariant::kSimd, /*compressed=*/false);
+  }
+}
+
+// Block Gauss-Seidel feeds each row to the accumulator as three runs
+// (old, fresh, old shares). Accumulate calls compose the same way in
+// the scalar and AVX2 folds, so the AVX2 contract carries over; the
+// fixed-work options keep every one of the 60 sweeps a GS sweep.
+TEST(SimdEquivalenceTest, GaussSeidelAvx2BitExactOnAllGenerators) {
+  for (const NamedGraph& g : TestGraphs()) {
+    ExpectEquivalent(g, KernelVariant::kAvx2, /*compressed=*/false,
+                     SweepMethod::kBlockGaussSeidel);
+  }
+}
+
+TEST(SimdEquivalenceTest, GaussSeidelAvx512WithinToleranceOnAllGenerators) {
+  for (const NamedGraph& g : TestGraphs()) {
+    ExpectEquivalent(g, KernelVariant::kAvx512, /*compressed=*/false,
+                     SweepMethod::kBlockGaussSeidel);
   }
 }
 
