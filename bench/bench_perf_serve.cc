@@ -439,7 +439,7 @@ void RegisterAll() {
   }
   us(benchmark::RegisterBenchmark("BM_TopK/alpha:50/k:100", BM_TopK)
          ->Args({50, 100}));
-  for (int alpha : {100, 50}) {
+  for (int alpha : {100, 50, 0}) {
     us(benchmark::RegisterBenchmark(
            ("BM_TopKSite/alpha:" + std::to_string(alpha)).c_str(),
            BM_TopKSite)

@@ -1,7 +1,6 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/annotations.h"
@@ -44,18 +43,11 @@ inline void SiftDown(TopKEntry* heap, size_t size, size_t i) {
 
 }  // namespace
 
-void TopKScratch::Reserve(NodeId n, uint32_t k) {
+void TopKScratch::Reserve(size_t k) {
   if (heap_.size() < k) {
     heap_.resize(k);
     out_.resize(k);
   }
-  if (stamp_.size() < n) stamp_.resize(n, 0);
-}
-
-bool TopKScratch::MarkVisited(NodeId row) {
-  if (stamp_[row] == epoch_) return false;
-  stamp_[row] = epoch_;
-  return true;
 }
 
 QRANK_HOT Status QueryEngine::TopK(const TopKQuery& query,
@@ -89,7 +81,6 @@ QRANK_HOT Status QueryEngine::TopKOnBundle(const LoadedBundle& bundle,
     return Status::InvalidArgument("site filter out of range");
   }
 
-  const NodeId n = bundle.num_pages();
   const std::span<const double> qv = bundle.quality();
   const std::span<const double> pv = bundle.pagerank();
   const std::span<const NodeId> ids = bundle.page_ids();
@@ -98,97 +89,81 @@ QRANK_HOT Status QueryEngine::TopKOnBundle(const LoadedBundle& bundle,
   const auto blend = [&qv, &pv, wq, wp](NodeId row) {
     return wq * qv[row] + wp * pv[row];
   };
-  const auto entry = [&ids, &blend](NodeId row) {
-    return TopKEntry{row, ids[row], blend(row), false};
-  };
 
-  // Eligible rows: one site's posting group (quality-descending) or the
-  // whole bundle.
+  // The eligible rows twice, in (quality desc, row asc) and in
+  // (pagerank desc, row asc) order: one site's two posting groups, or
+  // the two global order sections. `group` is what exploration draws
+  // from (empty = every row).
+  std::span<const NodeId> by_q = bundle.order_by_quality();
+  std::span<const NodeId> by_p = bundle.order_by_pagerank();
   std::span<const NodeId> group;
   if (query.site != kAllSites) {
     const std::span<const uint32_t> offsets = bundle.site_offsets();
-    group = bundle.site_pages().subspan(
-        offsets[query.site], offsets[query.site + 1] - offsets[query.site]);
+    const uint32_t lo = offsets[query.site];
+    const uint32_t size = offsets[query.site + 1] - lo;
+    by_q = bundle.site_pages().subspan(lo, size);
+    by_p = bundle.site_pages_by_pagerank().subspan(lo, size);
+    group = by_q;
   }
-  const size_t eligible =
-      query.site != kAllSites ? group.size() : static_cast<size_t>(n);
-  const size_t k = std::min<size_t>(query.k, eligible);
+  const size_t k = std::min<size_t>(query.k, by_q.size());
 
   // qrank-lint: allow(hot-alloc) amortized warm-up: grows only when a
-  // new generation has more pages than this scratch has ever seen.
-  scratch->Reserve(n, query.k);
-  scratch->heap_size_ = 0;
+  // query asks for more results than this scratch has ever held.
+  scratch->Reserve(k);
   scratch->out_size_ = 0;
-  if (++scratch->epoch_ == 0) {  // u32 wrap: reset all stamps once per 2^32
-    std::memset(scratch->stamp_.data(), 0,
-                scratch->stamp_.size() * sizeof(uint32_t));
-    scratch->epoch_ = 1;
-  }
   if (k == 0) return Status::OK();
 
   TopKEntry* const heap = scratch->heap_.data();
   TopKEntry* const out = scratch->out_.data();
-  size_t& heap_size = scratch->heap_size_;
-  const auto push = [heap, &heap_size, k](const TopKEntry& e) {
-    if (heap_size < k) {
-      heap[heap_size] = e;
-      SiftUp(heap, heap_size++);
-    } else if (Worse(heap[0], e)) {
-      heap[0] = e;
-      SiftDown(heap, heap_size, 0);
+  if (wp == 0.0 || wq == 0.0) {
+    // Pure quality / pure pagerank: a prefix of one list.
+    const std::span<const NodeId> order = wp == 0.0 ? by_q : by_p;
+    for (size_t i = 0; i < k; ++i) {
+      out[i] = TopKEntry{order[i], ids[order[i]], blend(order[i]), false};
     }
-  };
-
-  if (query.site != kAllSites) {
-    if (wp == 0.0) {
-      // Pure quality: the posting group is already in oracle order.
-      for (size_t i = 0; i < k; ++i) out[i] = entry(group[i]);
-      scratch->out_size_ = k;
-    } else {
-      // Blended site scan with an upper-bound cutoff: the group is
-      // quality-descending and no page beats the global pagerank max,
-      // so once wq*q(group[i]) + wp*pr_max falls below the retained
-      // worst, the tail cannot contribute.
-      const double pr_max = pv[bundle.order_by_pagerank()[0]];
-      for (size_t i = 0; i < group.size(); ++i) {
-        if (heap_size == k &&
-            wq * qv[group[i]] + wp * pr_max < heap[0].score) {
-          break;
-        }
-        push(entry(group[i]));
-      }
-    }
-  } else if (wp == 0.0 || wq == 0.0) {
-    // Pure quality / pure pagerank: a prefix of the precomputed order.
-    const std::span<const NodeId> order =
-        wp == 0.0 ? bundle.order_by_quality() : bundle.order_by_pagerank();
-    for (size_t i = 0; i < k; ++i) out[i] = entry(order[i]);
     scratch->out_size_ = k;
   } else {
-    // Fagin's threshold algorithm over the two order sections. After
-    // consuming depth d of both lists, every unseen row r satisfies
-    // q(r) <= q(A[d]) and pr(r) <= pr(B[d]), hence
-    // blend(r) <= tau = wq*q(A[d]) + wp*pr(B[d]) (rounding is monotone,
-    // so the bound survives floating point). Stopping only when the
-    // retained worst strictly beats tau keeps the (score, row)
+    // Fagin's threshold algorithm over the two lists. After consuming
+    // depth d of both, every unseen row r satisfies q(r) <= q(by_q[d])
+    // and pr(r) <= pr(by_p[d]), hence
+    // blend(r) <= tau = wq*q(by_q[d]) + wp*pr(by_p[d]) (rounding is
+    // monotone, so the bound survives floating point). Stopping only
+    // when the retained worst strictly beats tau keeps the (score, row)
     // tie-break exact against the full-scan oracle.
-    const std::span<const NodeId> by_q = bundle.order_by_quality();
-    const std::span<const NodeId> by_p = bundle.order_by_pagerank();
-    for (size_t d = 0; d < n; ++d) {
+    //
+    // Each row is pushed once, when first met. Both lists are strict
+    // (score desc, row asc) orders, so a row's position in the other
+    // list follows from one comparison: by_q[d] already came up in
+    // by_p[0, d) iff it sorts at or before by_p[d-1] in pagerank
+    // order, and by_p[d] already came up in by_q[0, d] iff it sorts at
+    // or before by_q[d] in quality order.
+    size_t heap_size = 0;
+    const auto push = [heap, &heap_size, k](NodeId row, double score) {
+      const TopKEntry e{row, 0, score, false};
+      if (heap_size < k) {
+        heap[heap_size] = e;
+        SiftUp(heap, heap_size++);
+      } else if (Worse(heap[0], e)) {
+        heap[0] = e;
+        SiftDown(heap, heap_size, 0);
+      }
+    };
+    const auto before = [](std::span<const double> v, NodeId a, NodeId b) {
+      return v[a] > v[b] || (v[a] == v[b] && a < b);
+    };
+    for (size_t d = 0; d < by_q.size(); ++d) {
       const NodeId qa = by_q[d];
       const NodeId pb = by_p[d];
-      if (scratch->MarkVisited(qa)) push(entry(qa));
-      if (scratch->MarkVisited(pb)) push(entry(pb));
+      if (d == 0 || before(pv, by_p[d - 1], qa)) push(qa, blend(qa));
+      if (before(qv, qa, pb)) push(pb, blend(pb));
       const double tau = wq * qv[qa] + wp * pv[pb];
       if (heap_size == k && heap[0].score > tau) break;
     }
-  }
-
-  if (scratch->out_size_ == 0) {
     // Drain the heap back-to-front into descending order.
     scratch->out_size_ = heap_size;
     while (heap_size > 0) {
       out[heap_size - 1] = heap[0];
+      out[heap_size - 1].page_id = ids[heap[0].row];
       heap[0] = heap[--heap_size];
       SiftDown(heap, heap_size, 0);
     }
@@ -199,7 +174,7 @@ QRANK_HOT Status QueryEngine::TopKOnBundle(const LoadedBundle& bundle,
     // flips to a uniformly random eligible page (first-come slots keep
     // their position — the promoted page inherits the impression).
     DrawExplorationPromotions(
-        query.exploration_seed, eps, group, n,
+        query.exploration_seed, eps, group, bundle.num_pages(),
         std::span<const TopKEntry>(out, scratch->out_size_),
         [out, &ids, &blend](size_t j, NodeId row) {
           out[j] = TopKEntry{row, ids[row], blend(row), true};

@@ -13,22 +13,27 @@
 // ranking.
 //
 // Hot-path design (the 1M+ QPS contract, verified by bench_perf_serve
-// and the counting-allocator test):
-//   * alpha == 1 / alpha == 0: answer is a prefix of the bundle's
-//     precomputed order section — O(k).
-//   * 0 < alpha < 1: Fagin's threshold algorithm over the two order
-//     sections. Both lists are walked in parallel; the scan stops as
-//     soon as the k-th best blended score reaches the threshold
+// and the counting-allocator test). Every query, global or site-
+// filtered, runs one dispatch over the eligible rows held twice: in
+// quality order and in PageRank order. For a global query those are the
+// bundle's two order sections; for a site query, the site's posting
+// group and the same group in PageRank order (derived at load, see
+// LoadedBundle::site_pages_by_pagerank).
+//   * alpha == 1 / alpha == 0: the answer is a prefix of one list, O(k).
+//   * 0 < alpha < 1: Fagin's threshold algorithm over the two lists.
+//     Both are walked in parallel; the scan stops as soon as the k-th
+//     best blended score beats the threshold
 //     alpha * q_cursor + (1 - alpha) * pr_cursor, which no unseen page
 //     can exceed (both terms are monotone down the lists). Exact, and
-//     in practice terminates after O(k) .. a few hundred entries.
-//   * site queries scan the site's posting group (bounded heap), which
-//     the bundle keeps sorted by quality.
-//   * Zero allocations per query: all scratch (bounded heap, epoch-
-//     stamped dedup array, result slots) lives in a caller-owned
-//     TopKScratch and is reused; TopK only allocates when a newly
-//     acquired generation has more pages than the scratch has seen
-//     (amortized once per growth).
+//     in practice terminates after O(k) .. a few hundred entries. A row
+//     met in both lists is pushed once: since both lists are strict
+//     (score desc, row asc) orders, one comparison against the other
+//     list's cursor tells whether it was met already.
+//   * Zero allocations per query: all scratch (bounded heap, result
+//     slots) lives in a caller-owned TopKScratch and is reused. Its
+//     size is O(k) for the largest clamped k served, independent of the
+//     bundle's page count; TopK only allocates when a query asks for
+//     more results than the scratch has held before.
 //
 // Thread model: QueryEngine is stateless and shared; each serving
 // thread owns one TopKScratch, which also holds the thread's
@@ -137,19 +142,12 @@ class TopKScratch {
  private:
   friend class QueryEngine;
 
-  /// Grows scratch for a bundle with `n` rows and queries up to `k`
-  /// results. Allocation happens here and only here.
-  void Reserve(NodeId n, uint32_t k);
-
-  /// Stamp the row visited for the current query; returns false when it
-  /// already was (dedup for the threshold algorithm's two cursors).
-  bool MarkVisited(NodeId row);
+  /// Grows scratch for queries of up to `k` results (k already clamped
+  /// to the eligible row count). Allocation happens here and only here.
+  void Reserve(size_t k);
 
   std::vector<TopKEntry> heap_;   // bounded min-heap, capacity k
   std::vector<TopKEntry> out_;    // sorted results, capacity k
-  std::vector<uint32_t> stamp_;   // per-row visit epoch
-  uint32_t epoch_ = 0;
-  size_t heap_size_ = 0;
   size_t out_size_ = 0;
 
   // Generation-cached pin for store-backed queries.

@@ -26,6 +26,7 @@ namespace {
 // thread count.
 constexpr size_t kRowGrain = size_t{1} << 14;   // rows per sort/scan block
 constexpr size_t kCrcChunk = size_t{1} << 20;   // bytes per CRC chunk
+constexpr size_t kPostingBlocks = 8;            // max postings scatter blocks
 
 // Sort rows by (score desc, row asc): the deterministic serving order.
 // The comparator is a strict total order (ties broken by row id), so
@@ -69,67 +70,74 @@ uint32_t ParallelBundleCrc32(const uint8_t* data, size_t len,
   return crc;
 }
 
-// Per-site postings: a blocked two-pass counting sort over the global
-// quality order. Pass 1 histograms sites per fixed row block; a serial
-// exclusive scan then assigns each (block, site) pair its disjoint
-// write window inside the site's posting range; pass 2 scatters rows
-// into those windows. Concatenating the blocks in order reproduces the
-// global quality order within each site — byte-identical to the serial
-// single-cursor walk.
-void BuildSitePostings(const std::vector<SiteId>& site_ids, SiteId num_sites,
-                       const std::vector<NodeId>& order_by_quality,
-                       std::vector<uint32_t>* site_offsets,
-                       std::vector<NodeId>* site_pages,
-                       ParallelOptions parallel) {
-  const size_t n = order_by_quality.size();
-  site_offsets->assign(static_cast<size_t>(num_sites) + 1, 0);
-  for (SiteId s : site_ids) ++(*site_offsets)[s + 1];
-  for (size_t s = 1; s < site_offsets->size(); ++s) {
-    (*site_offsets)[s] += (*site_offsets)[s - 1];
+// Per-site postings: a blocked two-pass counting sort of `order` into
+// the site windows of `site_offsets`. Pass 1 histograms sites per fixed
+// row block; a serial exclusive scan then assigns each (block, site)
+// pair its disjoint write window inside the site's posting range; pass
+// 2 scatters rows into those windows. Concatenating the blocks in order
+// reproduces `order` within each site, byte-identical to the serial
+// single-cursor walk at every thread count. Every site_ids entry must be
+// < num_sites (both callers check); a site whose row count in `order`
+// disagrees with its window is rejected before any row is written, so
+// the scatter never leaves `site_pages`.
+Status BuildSitePostings(std::span<const SiteId> site_ids,
+                         std::span<const uint32_t> site_offsets,
+                         std::span<const NodeId> order,
+                         std::span<NodeId> site_pages,
+                         ParallelOptions parallel) {
+  const size_t n = order.size();
+  const size_t num_sites = site_offsets.size() - 1;
+  // The output does not depend on the blocking, so it is chosen for
+  // speed: at most kPostingBlocks blocks, so each (block, site) window
+  // is long and concurrent blocks rarely write the same cache line, and
+  // one block (the serial walk) when the O(blocks * num_sites) scan
+  // would dwarf the rows themselves.
+  size_t grain = std::max(kRowGrain, NumBlocks(n, kPostingBlocks));
+  if (ResolveThreads(parallel.num_threads) <= 1 ||
+      NumBlocks(n, grain) * num_sites > n) {
+    grain = std::max<size_t>(n, 1);
   }
-  site_pages->resize(n);
-
-  const size_t blocks = NumBlocks(n, kRowGrain);
-  // The scan is O(blocks * num_sites); fall back to the serial walk
-  // when the histogram would dwarf the rows themselves. The decision
-  // depends only on (n, num_sites), never on the thread count.
-  if (ResolveThreads(parallel.num_threads) <= 1 || blocks <= 1 ||
-      blocks * static_cast<size_t>(num_sites) > n) {
-    std::vector<uint32_t> cursor(site_offsets->begin(),
-                                 site_offsets->end() - 1);
-    for (NodeId row : order_by_quality) {
-      (*site_pages)[cursor[site_ids[row]]++] = row;
-    }
-    return;
-  }
-  parallel.grain = kRowGrain;
+  const size_t blocks = NumBlocks(n, grain);
+  parallel.grain = grain;
   std::vector<uint32_t> cursors(blocks * num_sites, 0);
   ParallelForBlocks(
       n,
       [&](size_t lo, size_t hi) {
-        uint32_t* mine = cursors.data() + (lo / kRowGrain) * num_sites;
-        for (size_t i = lo; i < hi; ++i) ++mine[site_ids[order_by_quality[i]]];
+        uint32_t* mine = cursors.data() + (lo / grain) * num_sites;
+        for (size_t i = lo; i < hi; ++i) ++mine[site_ids[order[i]]];
       },
       parallel);
-  for (SiteId s = 0; s < num_sites; ++s) {
-    uint32_t acc = (*site_offsets)[s];
-    for (size_t b = 0; b < blocks; ++b) {
-      uint32_t& slot = cursors[b * num_sites + s];
-      const uint32_t count = slot;
-      slot = acc;
-      acc += count;
+  // Block-major, so both arrays stream; `end` ends as each site's
+  // window start plus its row count.
+  std::vector<uint64_t> end(site_offsets.begin(), site_offsets.end() - 1);
+  for (size_t b = 0; b < blocks; ++b) {
+    uint32_t* slot = cursors.data() + b * num_sites;
+    for (size_t s = 0; s < num_sites; ++s) {
+      const uint32_t count = slot[s];
+      slot[s] = static_cast<uint32_t>(end[s]);
+      end[s] += count;
+    }
+  }
+  for (size_t s = 0; s < num_sites; ++s) {
+    if (end[s] != site_offsets[s + 1]) {
+      return Status::Corruption(
+          "site " + std::to_string(s) + " holds " +
+          std::to_string(end[s] - site_offsets[s]) +
+          " rows of the order section but its postings window holds " +
+          std::to_string(site_offsets[s + 1] - site_offsets[s]));
     }
   }
   ParallelForBlocks(
       n,
       [&](size_t lo, size_t hi) {
-        uint32_t* mine = cursors.data() + (lo / kRowGrain) * num_sites;
+        uint32_t* mine = cursors.data() + (lo / grain) * num_sites;
         for (size_t i = lo; i < hi; ++i) {
-          const NodeId row = order_by_quality[i];
-          (*site_pages)[mine[site_ids[row]]++] = row;
+          const NodeId row = order[i];
+          site_pages[mine[site_ids[row]]++] = row;
         }
       },
       parallel);
+  return Status::OK();
 }
 
 }  // namespace
@@ -204,9 +212,15 @@ Result<ScoreBundleWriter> ScoreBundleWriter::Create(ScoreBundleSource source,
   SortRowsByScoreDescending(w.source_.quality, &w.order_by_quality_, parallel);
   SortRowsByScoreDescending(w.source_.pagerank, &w.order_by_pagerank_,
                             parallel);
-  BuildSitePostings(w.source_.site_ids, w.source_.num_sites,
-                    w.order_by_quality_, &w.site_offsets_, &w.site_pages_,
-                    parallel);
+  w.site_offsets_.assign(size_t{w.source_.num_sites} + 1, 0);
+  for (SiteId s : w.source_.site_ids) ++w.site_offsets_[s + 1];
+  for (size_t s = 1; s < w.site_offsets_.size(); ++s) {
+    w.site_offsets_[s] += w.site_offsets_[s - 1];
+  }
+  w.site_pages_.resize(n);
+  QRANK_RETURN_NOT_OK(BuildSitePostings(w.source_.site_ids, w.site_offsets_,
+                                        w.order_by_quality_, w.site_pages_,
+                                        parallel));
   return w;
 }
 
@@ -308,6 +322,7 @@ LoadedBundle& LoadedBundle::operator=(LoadedBundle&& other) noexcept {
   map_length_ = other.map_length_;
   header_ = other.header_;
   std::memcpy(sections_, other.sections_, sizeof(sections_));
+  site_pages_by_pagerank_ = std::move(other.site_pages_by_pagerank_);
   other.map_base_ = nullptr;
   other.map_length_ = 0;
   other.data_ = nullptr;
@@ -406,7 +421,32 @@ Status LoadedBundle::ValidateAndIndex(const ParallelOptions& parallel) {
       }
     }
   }
-  return Status::OK();
+
+  // Derive the PageRank-ordered postings. BuildSitePostings indexes its
+  // per-site cursors by site id, so every id is range-checked first.
+  const std::span<const SiteId> sites = site_ids();
+  const SiteId num_sites = header_.num_sites;
+  const double bad_sites = ParallelReduce(
+      sites.size(),
+      [&sites, num_sites](size_t lo, size_t hi) {
+        size_t count = 0;
+        for (size_t i = lo; i < hi; ++i) count += sites[i] >= num_sites;
+        return static_cast<double>(count);
+      },
+      check);
+  if (bad_sites != 0.0) {
+    for (size_t i = 0; i < sites.size(); ++i) {
+      if (sites[i] >= num_sites) {
+        return Status::Corruption("site_ids[" + std::to_string(i) + "] = " +
+                                  std::to_string(sites[i]) +
+                                  " >= num_sites " +
+                                  std::to_string(num_sites));
+      }
+    }
+  }
+  site_pages_by_pagerank_.resize(n);
+  return BuildSitePostings(sites, offsets, order_by_pagerank(),
+                           site_pages_by_pagerank_, parallel);
 }
 
 Result<LoadedBundle> LoadedBundle::FromBuffer(std::vector<uint8_t> image,

@@ -14,7 +14,10 @@
 // table against the real file size BEFORE anything is allocated or
 // mapped, verifies the payload CRC, and range-checks every index
 // section so QueryEngine can serve from the spans without per-query
-// bounds checks.
+// bounds checks. It then derives the one index the image does not
+// store: the per-site postings in PageRank order, built from the
+// pagerank order section by the writer's own counting sort (4 bytes a
+// page, held beside the image).
 
 #ifndef QRANK_SERVE_SCORE_BUNDLE_H_
 #define QRANK_SERVE_SCORE_BUNDLE_H_
@@ -151,13 +154,19 @@ class LoadedBundle {
   std::span<const NodeId> site_pages() const {
     return Typed<NodeId>(kBundleSitePages, header_.num_pages);
   }
+  /// The same site groups (same site_offsets() windows), each sorted by
+  /// (pagerank desc, row asc). Derived at load, not stored in the image.
+  std::span<const NodeId> site_pages_by_pagerank() const {
+    return site_pages_by_pagerank_;
+  }
 
  private:
   LoadedBundle() = default;
 
-  /// Validates an image already resident at data_/size_ and resolves
-  /// section pointers. Runs payload CRC + index range checks, chunked
-  /// across `parallel` executors.
+  /// Validates an image already resident at data_/size_, resolves
+  /// section pointers and derives site_pages_by_pagerank_. Runs payload
+  /// CRC, index range checks and the derivation, chunked across
+  /// `parallel` executors.
   Status ValidateAndIndex(const ParallelOptions& parallel);
 
   template <typename T>
@@ -174,6 +183,7 @@ class LoadedBundle {
   size_t map_length_ = 0;
   BundleHeader header_ = {};
   const uint8_t* sections_[kBundleSitePages + 1] = {};
+  std::vector<NodeId> site_pages_by_pagerank_;
 };
 
 }  // namespace qrank

@@ -1,21 +1,25 @@
 // QueryEngine correctness against a brute-force oracle: for every
-// blend alpha, k, and site filter the fast paths (order-prefix reads,
-// posting-group scans, and Fagin's threshold algorithm) must reproduce
-// the full-scan (score desc, row asc) ranking exactly — including on
-// score distributions engineered to be tie-heavy, where a sloppy
-// threshold-stop or heap comparator shows up immediately.
+// blend alpha, k, and site filter the fast paths (order-prefix reads
+// and Fagin's threshold algorithm over a quality-ordered and a
+// PageRank-ordered list) must reproduce the full-scan (score desc,
+// row asc) ranking exactly — including on score distributions
+// engineered to be tie-heavy, where a sloppy threshold-stop, heap
+// comparator or position-based dedup shows up immediately.
 
 #include "serve/query_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/parallel_for.h"
 #include "serve/score_bundle.h"
 #include "serve/snapshot_store.h"
 
@@ -59,6 +63,30 @@ const LoadedBundle& SmoothBundle() {
     for (NodeId i = 0; i < kPages; ++i) {
       src.quality[i] = rng.Pareto(1.0, 1.2);
       src.pagerank[i] = rng.Pareto(0.5, 1.5);
+      src.site_ids[i] = static_cast<SiteId>(rng.UniformUint64(kSites));
+    }
+    src.num_sites = kSites;
+    return LoadedBundle::FromBuffer(
+               ScoreBundleWriter::Create(std::move(src)).value().Serialize())
+        .value();
+  }();
+  return b;
+}
+
+// Two quality and two PageRank levels: nearly every comparison in both
+// lists is a tie broken by row id, so the threshold algorithm meets
+// most rows in both lists and the position-based dedup decides on
+// equal scores throughout.
+const LoadedBundle& QuantizedBundle() {
+  static const LoadedBundle b = [] {
+    Rng rng(4242);
+    ScoreBundleSource src;
+    src.quality.resize(kPages);
+    src.pagerank.resize(kPages);
+    src.site_ids.resize(kPages);
+    for (NodeId i = 0; i < kPages; ++i) {
+      src.quality[i] = static_cast<double>(rng.UniformUint64(2));
+      src.pagerank[i] = 0.25 * static_cast<double>(rng.UniformUint64(2));
       src.site_ids[i] = static_cast<SiteId>(rng.UniformUint64(kSites));
     }
     src.num_sites = kSites;
@@ -255,6 +283,175 @@ TEST(QueryEngineTest, ExplorationRateTracksEpsilon) {
   }
   const double rate = static_cast<double>(promoted) / total;
   EXPECT_NEAR(rate, 0.2, 0.05);
+}
+
+uint32_t GroupSize(const LoadedBundle& b, SiteId site) {
+  return b.site_offsets()[site + 1] - b.site_offsets()[site];
+}
+
+TEST(QueryEngineTest, EverySiteMatchesOracleAtEveryListDepth) {
+  // k at and past the group size walks the threshold algorithm to the
+  // end of both site lists.
+  for (const LoadedBundle* b :
+       {&TieBundle(), &SmoothBundle(), &QuantizedBundle()}) {
+    for (double alpha : {0.0, 0.25, 0.5, 1.0}) {
+      for (SiteId site = 0; site < kSites; ++site) {
+        const uint32_t size = GroupSize(*b, site);
+        for (uint32_t k : {1u, 10u, size, size + 5}) {
+          TopKQuery q;
+          q.blend_alpha = alpha;
+          q.k = k;
+          q.site = site;
+          ExpectMatchesOracle(*b, q);
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryEngineTest, QuantizedScoresMatchOracleGloballyAndPerSite) {
+  const LoadedBundle& b = QuantizedBundle();
+  for (double alpha : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
+    for (uint32_t k : {1u, 2u, 7u, 64u, 250u, kPages, kPages + 1}) {
+      TopKQuery q;
+      q.blend_alpha = alpha;
+      q.k = k;
+      ExpectMatchesOracle(b, q);
+      for (SiteId site = 0; site < kSites; ++site) {
+        q.site = site;
+        ExpectMatchesOracle(b, q);
+      }
+    }
+  }
+}
+
+TEST(QueryEngineTest, SiteExplorationDrawsFromTheQualityOrderedGroup) {
+  // The promoted rows of a site query come from the site's posting
+  // group in quality order, replayed over the oracle's answer.
+  for (const LoadedBundle* b : {&SmoothBundle(), &QuantizedBundle()}) {
+    for (double alpha : {0.0, 0.5, 1.0}) {
+      for (SiteId site = 0; site < kSites; ++site) {
+        TopKQuery q;
+        q.blend_alpha = alpha;
+        q.k = 15;
+        q.site = site;
+        q.exploration_epsilon = 0.3;
+        q.exploration_seed = 7 + site;
+        std::vector<TopKEntry> expect = Oracle(*b, q);
+        const std::span<const NodeId> group = b->site_pages().subspan(
+            b->site_offsets()[site], GroupSize(*b, site));
+        DrawExplorationPromotions(
+            q.exploration_seed, q.exploration_epsilon, group, b->num_pages(),
+            expect, [&](size_t j, NodeId row) {
+              expect[j] = TopKEntry{row, b->page_ids()[row],
+                                    alpha * b->quality()[row] +
+                                        (1.0 - alpha) * b->pagerank()[row],
+                                    true};
+            });
+        TopKScratch scratch;
+        ASSERT_TRUE(QueryEngine::TopKOnBundle(*b, q, &scratch).ok());
+        ASSERT_EQ(scratch.results().size(), expect.size());
+        for (size_t i = 0; i < expect.size(); ++i) {
+          EXPECT_EQ(scratch.results()[i].row, expect[i].row)
+              << "site " << site << " alpha " << alpha << " slot " << i;
+          EXPECT_EQ(scratch.results()[i].score, expect[i].score);
+          EXPECT_EQ(scratch.results()[i].promoted, expect[i].promoted);
+        }
+      }
+    }
+  }
+}
+
+// FNV-1a over every field of every answer of a fixed query sweep.
+uint64_t AnswerDigest() {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  TopKScratch scratch;
+  for (const LoadedBundle* b :
+       {&SmoothBundle(), &TieBundle(), &QuantizedBundle()}) {
+    for (double alpha : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+      for (uint32_t k : {1u, 10u, 37u}) {
+        for (SiteId site = 0; site <= kSites; ++site) {
+          for (double eps : {0.0, 0.3}) {
+            TopKQuery q;
+            q.blend_alpha = alpha;
+            q.k = k;
+            q.site = site == kSites ? kAllSites : site;
+            q.exploration_epsilon = eps;
+            q.exploration_seed = 1000 * k + site;
+            EXPECT_TRUE(QueryEngine::TopKOnBundle(*b, q, &scratch).ok());
+            mix(scratch.results().size());
+            for (const TopKEntry& e : scratch.results()) {
+              mix(e.row);
+              mix(e.page_id);
+              mix(std::bit_cast<uint64_t>(e.score));
+              mix(e.promoted ? 1 : 0);
+            }
+          }
+        }
+      }
+    }
+  }
+  return h;
+}
+
+TEST(QueryEngineTest, AnswersAreBitIdenticalToTheSiteScanEngine) {
+  // Digest of the same sweep served by the engine that scanned whole
+  // site groups and deduplicated with a per-row stamp array: global,
+  // site, blended and exploration answers (rows, ids, score bits,
+  // promotions) are unchanged by the single threshold-algorithm path.
+  EXPECT_EQ(AnswerDigest(), 0x9129f5029e1f10a2ull);
+}
+
+// -- derived index ---------------------------------------------------------
+
+TEST(QueryEngineTest, DerivedSitePostingsAreByteIdenticalAcrossThreads) {
+  // 40000 rows over 37 sites: three 16384-row blocks, so the blocked
+  // counting sort (not the one-block serial walk) runs above 1 thread.
+  Rng rng(0x5eed);
+  ScoreBundleSource src;
+  const NodeId n = 40000;
+  src.quality.resize(n);
+  src.pagerank.resize(n);
+  src.site_ids.resize(n);
+  for (NodeId i = 0; i < n; ++i) {
+    src.quality[i] = rng.Pareto(1.0, 1.2);
+    src.pagerank[i] = static_cast<double>(rng.UniformUint64(50));  // ties
+    src.site_ids[i] = static_cast<SiteId>(rng.UniformUint64(37));
+  }
+  src.num_sites = 37;
+  const std::vector<uint8_t> image =
+      ScoreBundleWriter::Create(std::move(src)).value().Serialize();
+
+  ParallelOptions serial;
+  serial.num_threads = 1;
+  const LoadedBundle reference =
+      LoadedBundle::FromBuffer(image, serial).value();
+  // The serial result is the stable partition of the pagerank order by
+  // site.
+  const std::span<const NodeId> got = reference.site_pages_by_pagerank();
+  ASSERT_EQ(got.size(), size_t{n});
+  std::vector<uint32_t> cursor(reference.site_offsets().begin(),
+                               reference.site_offsets().end() - 1);
+  for (NodeId row : reference.order_by_pagerank()) {
+    ASSERT_EQ(got[cursor[reference.site_ids()[row]]++], row);
+  }
+  for (int threads : {2, 4, 8}) {
+    ParallelOptions wide;
+    wide.num_threads = threads;
+    const LoadedBundle b = LoadedBundle::FromBuffer(image, wide).value();
+    const std::span<const NodeId> derived = b.site_pages_by_pagerank();
+    ASSERT_EQ(derived.size(), got.size());
+    EXPECT_EQ(std::memcmp(derived.data(), got.data(),
+                          got.size() * sizeof(NodeId)),
+              0)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 // roundtrips over both backings, the precomputed serving index, and the
 // hardening contract — truncated or bit-flipped images must fail with
 // Corruption before the loader allocates for or dereferences the
-// payload (the graph_io binary-reader contract, PR 3).
+// payload (the graph_io binary-reader contract), and CRC-fixed images
+// with inconsistent index sections must fail with Corruption before the
+// load-time index derivation writes anything.
 
 #include "serve/score_bundle.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -17,6 +20,7 @@
 
 #include "common/rng.h"
 #include "serve/bundle_format.h"
+#include "serve/query_engine.h"
 
 namespace qrank {
 namespace {
@@ -104,6 +108,21 @@ void ExpectValidBundle(const LoadedBundle& b, NodeId n, SiteId sites) {
                     (b.quality()[prev] == b.quality()[row] && prev < row));
       }
     }
+  }
+  // The derived PageRank-ordered postings: same windows, same rows,
+  // pagerank-descending per group.
+  ASSERT_EQ(b.site_pages_by_pagerank().size(), size_t{n});
+  for (SiteId s = 0; s < sites; ++s) {
+    const uint32_t lo = b.site_offsets()[s];
+    const uint32_t hi = b.site_offsets()[s + 1];
+    std::vector<NodeId> by_q(b.site_pages().begin() + lo,
+                             b.site_pages().begin() + hi);
+    std::vector<NodeId> by_p(b.site_pages_by_pagerank().begin() + lo,
+                             b.site_pages_by_pagerank().begin() + hi);
+    ExpectDescendingOrder(by_p, b.pagerank());
+    std::sort(by_q.begin(), by_q.end());
+    std::sort(by_p.begin(), by_p.end());
+    ASSERT_EQ(by_p, by_q) << "site " << s;
   }
 }
 
@@ -203,36 +222,43 @@ Status LoadImageViaFile(const std::vector<uint8_t>& image,
 }
 
 TEST_F(ScoreBundleTest, TruncationSweepFailsCleanly) {
-  const std::vector<uint8_t> image = MakeImage(33, 4);
   const std::string path = Track(TempPath("trunc.qrkb"));
-  // Every prefix below the header, around the table, and a payload
-  // sample; full-size minus one exercises the last-byte case.
-  std::vector<size_t> cuts = {0,  1,  4,   63,  64,  65,
-                              96, 255, 256, 300, image.size() - 1};
-  for (size_t cut : cuts) {
-    ASSERT_LT(cut, image.size());
-    const std::vector<uint8_t> prefix(image.begin(),
-                                      image.begin() + static_cast<long>(cut));
-    for (bool prefer_mmap : {true, false}) {
-      const Status st = LoadImageViaFile(prefix, path, prefer_mmap);
-      EXPECT_EQ(st.code(), StatusCode::kCorruption)
-          << "cut " << cut << " mmap " << prefer_mmap << ": "
-          << st.ToString();
+  for (const SiteId sites : {SiteId{1}, SiteId{4}, SiteId{9}}) {
+    const std::vector<uint8_t> image = MakeImage(33, sites);
+    // Every prefix below the header, around the table, and a payload
+    // sample; full-size minus one exercises the last-byte case.
+    std::vector<size_t> cuts = {0,  1,  4,   63,  64,  65,
+                                96, 255, 256, 300, image.size() - 1};
+    for (size_t cut = 301; cut < image.size(); cut += 61) cuts.push_back(cut);
+    for (size_t cut : cuts) {
+      ASSERT_LT(cut, image.size());
+      const std::vector<uint8_t> prefix(
+          image.begin(), image.begin() + static_cast<long>(cut));
+      for (bool prefer_mmap : {true, false}) {
+        const Status st = LoadImageViaFile(prefix, path, prefer_mmap);
+        EXPECT_EQ(st.code(), StatusCode::kCorruption)
+            << "sites " << sites << " cut " << cut << " mmap " << prefer_mmap
+            << ": " << st.ToString();
+      }
+      const Status direct = LoadedBundle::FromBuffer(prefix).status();
+      EXPECT_EQ(direct.code(), StatusCode::kCorruption)
+          << "sites " << sites << " cut " << cut;
     }
-    const Status direct = LoadedBundle::FromBuffer(prefix).status();
-    EXPECT_EQ(direct.code(), StatusCode::kCorruption) << "cut " << cut;
   }
 }
 
 TEST_F(ScoreBundleTest, HeaderBitFlipSweepFailsCleanly) {
-  const std::vector<uint8_t> image = MakeImage(17, 3);
-  // Any single bit flip in the 64 header bytes is caught: the CRC
-  // guards [0, 60), and a flip inside the stored CRC mismatches it.
-  for (size_t byte = 0; byte < sizeof(BundleHeader); ++byte) {
-    std::vector<uint8_t> mutant = image;
-    mutant[byte] ^= 1u << (byte % 8);
-    const Status st = LoadedBundle::FromBuffer(std::move(mutant)).status();
-    EXPECT_EQ(st.code(), StatusCode::kCorruption) << "byte " << byte;
+  for (const SiteId sites : {SiteId{1}, SiteId{3}, SiteId{9}}) {
+    const std::vector<uint8_t> image = MakeImage(17, sites);
+    // Any single bit flip in the 64 header bytes is caught: the CRC
+    // guards [0, 60), and a flip inside the stored CRC mismatches it.
+    for (size_t byte = 0; byte < sizeof(BundleHeader); ++byte) {
+      std::vector<uint8_t> mutant = image;
+      mutant[byte] ^= 1u << (byte % 8);
+      const Status st = LoadedBundle::FromBuffer(std::move(mutant)).status();
+      EXPECT_EQ(st.code(), StatusCode::kCorruption)
+          << "sites " << sites << " byte " << byte;
+    }
   }
 }
 
@@ -266,6 +292,139 @@ TEST_F(ScoreBundleTest, HugePageCountTinyFileRejectedBeforeAllocation) {
     EXPECT_NE(st.message().find("promises"), std::string::npos)
         << st.ToString();
   }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-fixed corruption: the checksums are recomputed after the mutation,
+// so only the loader's index checks stand between the image and the
+// load-time derivation of the PageRank-ordered postings.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+T* SectionOf(std::vector<uint8_t>& image, uint32_t id) {
+  BundleHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    BundleSectionEntry entry;
+    std::memcpy(&entry,
+                image.data() + sizeof(BundleHeader) + i * sizeof(entry),
+                sizeof(entry));
+    if (entry.id == id) return reinterpret_cast<T*>(image.data() + entry.offset);
+  }
+  ADD_FAILURE() << "no section " << id;
+  return nullptr;
+}
+
+void FixCrcs(std::vector<uint8_t>* image) {
+  BundleHeader header;
+  std::memcpy(&header, image->data(), sizeof(header));
+  const uint64_t table_end = BundleTableEnd(header);
+  header.payload_crc32 =
+      BundleCrc32(image->data() + table_end, image->size() - table_end);
+  header.header_crc32 = BundleCrc32(reinterpret_cast<const uint8_t*>(&header),
+                                    offsetof(BundleHeader, header_crc32));
+  std::memcpy(image->data(), &header, sizeof(header));
+}
+
+Status LoadFixed(std::vector<uint8_t> image) {
+  FixCrcs(&image);
+  return LoadedBundle::FromBuffer(std::move(image)).status();
+}
+
+TEST_F(ScoreBundleTest, CrcFixedSiteIdAtNumSitesIsCorruption) {
+  std::vector<uint8_t> image = MakeImage(40, 4);
+  SectionOf<SiteId>(image, kBundleSiteIds)[5] = 4;  // == num_sites
+  EXPECT_EQ(LoadFixed(image).code(), StatusCode::kCorruption);
+}
+
+TEST_F(ScoreBundleTest, CrcFixedSiteIdOffThePostingsIsCorruption) {
+  // A duplicated posting hides row m from the per-posting site check;
+  // m's out-of-range site id must still be caught before the derivation
+  // indexes its per-site cursors with it.
+  std::vector<uint8_t> image = MakeImage(40, 4);
+  const uint32_t* offsets = SectionOf<uint32_t>(image, kBundleSiteOffsets);
+  NodeId* postings = SectionOf<NodeId>(image, kBundleSitePages);
+  const uint32_t first = offsets[2];
+  const NodeId m = postings[first + 1];
+  postings[first + 1] = postings[first];
+  SectionOf<SiteId>(image, kBundleSiteIds)[m] = 4;
+  const Status st = LoadFixed(image);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("site_ids[" + std::to_string(m) + "]"),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST_F(ScoreBundleTest, CrcFixedDuplicatedPageRankRowIsCorruption) {
+  // Row 0 (site 0) written over a site-1 row: site 0 now has one row
+  // more in the pagerank order than its postings window holds.
+  std::vector<uint8_t> image = MakeImage(40, 4);
+  NodeId* order = SectionOf<NodeId>(image, kBundleOrderByPageRank);
+  const SiteId* sites = SectionOf<SiteId>(image, kBundleSiteIds);
+  size_t victim = 0;
+  while (sites[order[victim]] != 1) ++victim;
+  order[victim] = 0;
+  const Status st = LoadFixed(image);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("postings window"), std::string::npos)
+      << st.ToString();
+}
+
+TEST_F(ScoreBundleTest, CrcFixedOffsetsDisagreeingWithTheOrderIsCorruption) {
+  // Shift the site 0 / site 1 boundary down by one and fill the freed
+  // slot with a second copy of a site-1 row: every posting still sits
+  // in its own site's window, but site 0 has one row more in the
+  // pagerank order than its window holds.
+  std::vector<uint8_t> image = MakeImage(40, 4);
+  uint32_t* offsets = SectionOf<uint32_t>(image, kBundleSiteOffsets);
+  NodeId* postings = SectionOf<NodeId>(image, kBundleSitePages);
+  const uint32_t boundary = offsets[1];
+  postings[boundary - 1] = postings[boundary];
+  offsets[1] = boundary - 1;
+  const Status st = LoadFixed(image);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("postings window"), std::string::npos)
+      << st.ToString();
+}
+
+TEST_F(ScoreBundleTest, CrcFixedPayloadBitFlipSweepLoadsOrFailsCleanly) {
+  // Every single-bit flip of a multi-site payload, CRC fixed: the load
+  // either fails with Corruption or yields a bundle every query can be
+  // served from without leaving its sections (the sanitizer builds
+  // check the latter).
+  const std::vector<uint8_t> image = MakeImage(17, 3);
+  BundleHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  size_t loaded = 0;
+  TopKScratch scratch;
+  for (size_t byte = BundleTableEnd(header); byte < image.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> mutant = image;
+      mutant[byte] ^= static_cast<uint8_t>(1u << bit);
+      FixCrcs(&mutant);
+      Result<LoadedBundle> b = LoadedBundle::FromBuffer(std::move(mutant));
+      if (!b.ok()) {
+        ASSERT_EQ(b.status().code(), StatusCode::kCorruption)
+            << "byte " << byte << " bit " << bit;
+        continue;
+      }
+      ++loaded;
+      for (double alpha : {0.0, 0.5, 1.0}) {
+        for (SiteId site : {kAllSites, SiteId{0}, SiteId{1}, SiteId{2}}) {
+          TopKQuery q;
+          q.k = 20;
+          q.blend_alpha = alpha;
+          q.site = site;
+          q.exploration_epsilon = 0.5;
+          ASSERT_TRUE(QueryEngine::TopKOnBundle(b.value(), q, &scratch).ok());
+          for (const TopKEntry& e : scratch.results()) {
+            ASSERT_LT(e.row, b->num_pages());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(loaded, 0u);  // score and padding flips load
 }
 
 TEST_F(ScoreBundleTest, MissingFileIsIOError) {

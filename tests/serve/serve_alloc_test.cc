@@ -1,13 +1,15 @@
 // Steady-state allocation behavior of the serving hot path.
 //
 // QueryEngine::TopK's contract is zero heap allocations per query once
-// the caller's TopKScratch has warmed up to the bundle's size: the
-// bounded heap, the result slots, and the epoch-stamped dedup array are
-// all reused, and the store-backed path revalidates a cached pin with
-// one atomic generation load, never allocating. The
-// test instruments the global allocator (the kernel_alloc_test harness)
-// and proves long query sequences — every blend mode, site filters,
-// exploration, and store-backed acquires — allocate nothing.
+// the caller's TopKScratch has warmed up to the largest k it serves:
+// the bounded heap and the result slots are reused, and the
+// store-backed path revalidates a cached pin with one atomic generation
+// load, never allocating. The scratch is sized by k clamped to the
+// eligible rows, never by the bundle's page count or the raw k asked
+// for. The test instruments the global allocator (the kernel_alloc_test
+// harness, plus a byte count) and proves long query sequences — every
+// blend mode, site filters, exploration, and store-backed acquires —
+// allocate nothing.
 
 #include <gtest/gtest.h>
 
@@ -27,11 +29,13 @@
 namespace {
 
 std::atomic<size_t> g_allocations{0};
+std::atomic<size_t> g_bytes{0};
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -73,6 +77,12 @@ size_t AllocationsDuring(const std::function<void()>& fn) {
   const size_t before = g_allocations.load(std::memory_order_relaxed);
   fn();
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+size_t BytesDuring(const std::function<void()>& fn) {
+  const size_t before = g_bytes.load(std::memory_order_relaxed);
+  fn();
+  return g_bytes.load(std::memory_order_relaxed) - before;
 }
 
 TEST(ServeAllocTest, TopKOnBundleAllocationFreeAfterWarmup) {
@@ -135,7 +145,7 @@ TEST(ServeAllocTest, ScratchGrowthIsAmortizedOnce) {
   TopKScratch scratch;
   TopKQuery q;
   q.k = 32;
-  // First query on a fresh scratch allocates (heap, results, stamps)...
+  // First query on a fresh scratch allocates (heap, results)...
   const size_t first = AllocationsDuring([&b, &scratch, &q] {
     ASSERT_TRUE(QueryEngine::TopKOnBundle(b, q, &scratch).ok());
   });
@@ -147,6 +157,59 @@ TEST(ServeAllocTest, ScratchGrowthIsAmortizedOnce) {
     }
   });
   EXPECT_EQ(rest, 0u);
+}
+
+TEST(ServeAllocTest, HugeKAllocatesForTheEligibleRowsOnly) {
+  // k = UINT32_MAX is clamped before the scratch grows: a fresh scratch
+  // takes heap + result slots for the eligible rows, not 2^32 entries.
+  const LoadedBundle& b = Bundle();
+  for (double alpha : {0.0, 0.5, 1.0}) {
+    for (SiteId site : {kAllSites, SiteId{3}}) {
+      TopKQuery q;
+      q.k = UINT32_MAX;
+      q.blend_alpha = alpha;
+      q.site = site;
+      const size_t eligible =
+          site == kAllSites
+              ? size_t{kPages}
+              : b.site_offsets()[site + 1] - b.site_offsets()[site];
+      TopKScratch scratch;
+      const size_t bytes = BytesDuring([&b, &scratch, &q] {
+        ASSERT_TRUE(QueryEngine::TopKOnBundle(b, q, &scratch).ok());
+      });
+      EXPECT_EQ(scratch.results().size(), eligible);
+      EXPECT_LE(bytes, 2 * eligible * sizeof(TopKEntry) + 1024)
+          << "alpha " << alpha << " site " << site;
+    }
+  }
+}
+
+TEST(ServeAllocTest, ScratchDoesNotGrowWithPageCount) {
+  // A scratch warmed on a 64-page bundle serves the 4096-page bundle at
+  // the same k without allocating: nothing in it is sized by the rows.
+  ScoreBundleSource src;
+  Rng rng(13);
+  for (int i = 0; i < 64; ++i) {
+    src.quality.push_back(rng.UniformDouble(0.0, 5.0));
+    src.pagerank.push_back(rng.UniformDouble(0.0, 5.0));
+  }
+  const LoadedBundle small =
+      LoadedBundle::FromBuffer(
+          ScoreBundleWriter::Create(std::move(src)).value().Serialize())
+          .value();
+  TopKScratch scratch;
+  TopKQuery q;
+  q.k = 10;
+  q.blend_alpha = 0.5;
+  ASSERT_TRUE(QueryEngine::TopKOnBundle(small, q, &scratch).ok());
+  const LoadedBundle& big = Bundle();
+  const size_t allocs = AllocationsDuring([&big, &scratch, &q] {
+    for (double alpha : {0.0, 0.5, 1.0}) {
+      q.blend_alpha = alpha;
+      ASSERT_TRUE(QueryEngine::TopKOnBundle(big, q, &scratch).ok());
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
 }
 
 }  // namespace

@@ -39,6 +39,7 @@
 #include "dist/shard_map.h"
 #include "dist/wire_format.h"
 #include "serve/query_engine.h"
+#include "query_flags.h"
 
 namespace qrank {
 namespace {
@@ -141,22 +142,13 @@ int LoadDeployment(FlagParser& flags, Deployment* out) {
   return 0;
 }
 
-Result<TopKQuery> QueryFromFlags(FlagParser& flags) {
-  TopKQuery query;
-  query.k = static_cast<uint32_t>(flags.GetInt("k", 10));
-  query.blend_alpha = flags.GetDouble("alpha", 1.0);
-  const int64_t site = flags.GetInt("site", -1);
-  query.site = site < 0 ? kAllSites : static_cast<SiteId>(site);
-  query.exploration_epsilon = flags.GetDouble("epsilon", 0.0);
-  query.exploration_seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
-  if (!flags.status().ok()) return flags.status();
-  return query;
-}
-
 int CmdQuery(FlagParser& flags) {
   Deployment deployment;
   int rc = LoadDeployment(flags, &deployment);
   Result<TopKQuery> query = QueryFromFlags(flags);
+  if (!query.ok()) {
+    std::cerr << "qrank_coord: " << query.status().ToString() << "\n";
+  }
   if (rc != 0) return rc;
   if (!query.ok()) {
     PrintUsage(std::cerr);
@@ -194,6 +186,9 @@ int CmdBench(FlagParser& flags) {
   Deployment deployment;
   int rc = LoadDeployment(flags, &deployment);
   Result<TopKQuery> query = QueryFromFlags(flags);
+  if (!query.ok()) {
+    std::cerr << "qrank_coord: " << query.status().ToString() << "\n";
+  }
   const int64_t num_queries = flags.GetInt("queries", 2000);
   if (rc != 0) return rc;
   if (!query.ok() || !flags.status().ok() || num_queries <= 0) {

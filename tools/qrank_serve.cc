@@ -46,6 +46,7 @@
 #include "serve/query_engine.h"
 #include "serve/score_bundle.h"
 #include "serve/snapshot_store.h"
+#include "query_flags.h"
 
 namespace qrank {
 namespace {
@@ -202,21 +203,11 @@ int CmdInspect(FlagParser& flags, const std::string& path) {
   return report.ok() ? 0 : 1;
 }
 
-Result<TopKQuery> QueryFromFlags(FlagParser& flags) {
-  TopKQuery query;
-  query.k = static_cast<uint32_t>(flags.GetInt("k", 10));
-  query.blend_alpha = flags.GetDouble("alpha", 1.0);
-  const int64_t site = flags.GetInt("site", -1);
-  query.site = site < 0 ? kAllSites : static_cast<SiteId>(site);
-  query.exploration_epsilon = flags.GetDouble("epsilon", 0.0);
-  query.exploration_seed =
-      static_cast<uint64_t>(flags.GetInt("seed", 0));
-  if (!flags.status().ok()) return flags.status();
-  return query;
-}
-
 int CmdQuery(FlagParser& flags, const std::string& path) {
   Result<TopKQuery> query = QueryFromFlags(flags);
+  if (!query.ok()) {
+    std::cerr << "qrank_serve: " << query.status().ToString() << "\n";
+  }
   const bool prefer_mmap = flags.GetBool("mmap", true);
   if (!query.ok() || !flags.status().ok()) {
     PrintUsage(std::cerr);
@@ -245,6 +236,9 @@ int CmdQuery(FlagParser& flags, const std::string& path) {
 
 int CmdBench(FlagParser& flags, const std::string& path) {
   Result<TopKQuery> query = QueryFromFlags(flags);
+  if (!query.ok()) {
+    std::cerr << "qrank_serve: " << query.status().ToString() << "\n";
+  }
   const int64_t num_queries = flags.GetInt("queries", 200000);
   const bool prefer_mmap = flags.GetBool("mmap", true);
   if (!query.ok() || !flags.status().ok() || num_queries <= 0) {
