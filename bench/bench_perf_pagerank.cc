@@ -25,7 +25,6 @@
 #include "rank/adaptive_pagerank.h"
 #include "rank/delta_pagerank.h"
 #include "rank/extrapolation.h"
-#include "rank/opic.h"
 #include "rank/pagerank.h"
 #include "rank/rank_vector.h"
 #include "rank/sweep_ops.h"
@@ -114,17 +113,6 @@ void BM_PageRankExtrapolated(benchmark::State& state) {
     benchmark::DoNotOptimize(r->base.scores.data());
   }
   state.counters["iters"] = iterations;
-}
-
-void BM_OpicSweeps(benchmark::State& state) {
-  // Online importance: cost of 10 OPIC sweeps (usable estimates arrive
-  // long before full convergence; see tests/rank/opic_test.cc).
-  qrank::CsrGraph g = MakeGraph(state.range(0));
-  for (auto _ : state) {
-    auto opic = qrank::OpicComputer::Create(&g);
-    opic->RunSweeps(10);
-    benchmark::DoNotOptimize(opic->Importance().data());
-  }
 }
 
 void BM_PageRankWarmStart(benchmark::State& state) {
@@ -524,8 +512,6 @@ BENCHMARK(BM_PageRankAdaptive)->Arg(1024)->Arg(8192)->Arg(65536)
 BENCHMARK(BM_PageRankExtrapolated)->Arg(1024)->Arg(8192)->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PageRankHighDamping)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OpicSweeps)->Arg(1024)->Arg(8192)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PageRankWarmStart)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);

@@ -14,8 +14,8 @@
 //   BM_TopKSite/*          per-site filtered queries (site rotates)
 //   BM_TopKExplore         Pandey exploration mix enabled
 //   BM_TopKThreads/*       concurrent readers on one shared store
-//   BM_TopKHotSwap         reader QPS + sampled p50/p99 latency while
-//                          a background publisher churns generations
+//   BM_TopKHotSwap         reader QPS + p50/p99 latency while a
+//                          background publisher churns generations
 //   BM_Publish             hot-swap publish cost itself
 //
 // With --distributed the binary instead benches the sharded tier: the
@@ -25,6 +25,9 @@
 //   BM_DistTopK/shards:*        deterministic global queries, QPS +
 //                               per-query p50/p99 over the socket RTT
 //   BM_DistTopKExplore/shards:4 exploration replay + resolve wave
+// Latency rows record every query into a LatencyHistogram and report
+// its nearest-rank percentiles (the upper edge of the bucket, at most
+// ~6% above the true value, so p99 never under-reports).
 // The suite writes BENCH_serve_dist.json instead of BENCH_serve.json.
 //
 // With --check_serve_regression the process exits non-zero when the
@@ -40,7 +43,6 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -53,6 +55,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "common/latency_histogram.h"
 #include "common/rng.h"
 #include "dist/coordinator.h"
 #include "dist/shard_map.h"
@@ -67,6 +70,7 @@ namespace {
 
 using qrank::CsrGraph;
 using qrank::kAllSites;
+using qrank::LatencyHistogram;
 using qrank::LoadedBundle;
 using qrank::NodeId;
 using qrank::QueryEngine;
@@ -135,6 +139,15 @@ void ReportQps(benchmark::State& state) {
   state.counters["qps"] =
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
+}
+
+using Clock = std::chrono::steady_clock;
+
+uint64_t ElapsedNanos(Clock::time_point since) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           since)
+          .count());
 }
 
 void BM_BundleLoad(benchmark::State& state) {
@@ -230,30 +243,18 @@ void BM_TopKHotSwap(benchmark::State& state) {
 
   const TopKQuery q = BlendQuery(50, 10);
   TopKScratch scratch;
-  std::vector<double> lat_ns;
-  lat_ns.reserve(1 << 20);
-  using Clock = std::chrono::steady_clock;
+  LatencyHistogram latency;
   for (auto _ : state) {
     const Clock::time_point t0 = Clock::now();
     benchmark::DoNotOptimize(engine.TopK(q, &scratch).ok());
-    if (lat_ns.size() < lat_ns.capacity()) {
-      lat_ns.push_back(
-          std::chrono::duration<double, std::nano>(Clock::now() - t0)
-              .count());
-    }
+    latency.AddNanos(ElapsedNanos(t0));
   }
   stop.store(true, std::memory_order_relaxed);
   publisher.join();
 
-  std::sort(lat_ns.begin(), lat_ns.end());
-  const auto pct = [&lat_ns](double p) {
-    return lat_ns.empty()
-               ? 0.0
-               : lat_ns[static_cast<size_t>(p * (lat_ns.size() - 1))];
-  };
   ReportQps(state);
-  state.counters["p50_ns"] = benchmark::Counter(pct(0.50));
-  state.counters["p99_ns"] = benchmark::Counter(pct(0.99));
+  state.counters["p50_ns"] = benchmark::Counter(latency.PercentileNanos(0.50));
+  state.counters["p99_ns"] = benchmark::Counter(latency.PercentileNanos(0.99));
   state.counters["publishes"] =
       benchmark::Counter(static_cast<double>(publishes.load()));
 }
@@ -345,18 +346,6 @@ qrank::Coordinator& DistCoordinator(int num_shards) {
   return coord;
 }
 
-void ReportLatencyPercentiles(benchmark::State& state,
-                              std::vector<double>& lat_ns) {
-  std::sort(lat_ns.begin(), lat_ns.end());
-  const auto pct = [&lat_ns](double p) {
-    return lat_ns.empty()
-               ? 0.0
-               : lat_ns[static_cast<size_t>(p * (lat_ns.size() - 1))];
-  };
-  state.counters["p50_ns"] = benchmark::Counter(pct(0.50));
-  state.counters["p99_ns"] = benchmark::Counter(pct(0.99));
-}
-
 /// Deterministic global queries through the full coordinator round
 /// trip: encode, fan-out over loopback sockets, worker-side engine,
 /// exact merge. Latency is sampled per query (the socket RTT dominates,
@@ -368,20 +357,15 @@ void BM_DistTopK(benchmark::State& state) {
   qrank::DistTopKResult result;
   const uint64_t degraded_before = coord.degraded_queries();
   const uint64_t hedges_before = coord.hedges_fired();
-  std::vector<double> lat_ns;
-  lat_ns.reserve(1 << 20);
-  using Clock = std::chrono::steady_clock;
+  LatencyHistogram latency;
   for (auto _ : state) {
     const Clock::time_point t0 = Clock::now();
     benchmark::DoNotOptimize(coord.TopK(q, &result).ok());
-    if (lat_ns.size() < lat_ns.capacity()) {
-      lat_ns.push_back(
-          std::chrono::duration<double, std::nano>(Clock::now() - t0)
-              .count());
-    }
+    latency.AddNanos(ElapsedNanos(t0));
   }
   ReportQps(state);
-  ReportLatencyPercentiles(state, lat_ns);
+  state.counters["p50_ns"] = benchmark::Counter(latency.PercentileNanos(0.50));
+  state.counters["p99_ns"] = benchmark::Counter(latency.PercentileNanos(0.99));
   state.counters["degraded"] = benchmark::Counter(
       static_cast<double>(coord.degraded_queries() - degraded_before));
   state.counters["hedges"] = benchmark::Counter(

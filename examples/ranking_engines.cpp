@@ -1,8 +1,7 @@
 // Survey of every ranking engine in qrank on one synthetic Web graph:
-// PageRank (power iteration, Gauss-Seidel, adaptive, extrapolated),
-// OPIC online importance, HITS authorities, TrafficRank, in-degree —
-// and how each correlates with the latent quality that generated the
-// links.
+// PageRank (power iteration, Gauss-Seidel, adaptive, extrapolated) and
+// in-degree — and how each correlates with the latent quality that
+// generated the links.
 //
 // Build & run:  ./build/examples/ranking_engines
 
@@ -17,12 +16,8 @@
 #include "rank/adaptive_pagerank.h"
 #include "rank/baselines.h"
 #include "rank/extrapolation.h"
-#include "rank/hits.h"
-#include "rank/opic.h"
 #include "rank/pagerank.h"
 #include "rank/rank_vector.h"
-#include "rank/topic_sensitive.h"
-#include "rank/traffic_rank.h"
 
 int main() {
   // A quality-seeded graph: links attach preferentially to high-quality
@@ -64,16 +59,10 @@ int main() {
   auto adaptive = qrank::ComputeAdaptivePageRank(g, ad_options);
   qrank::ExtrapolatedPageRankOptions ex_options;
   auto extrapolated = qrank::ComputeExtrapolatedPageRank(g, ex_options);
-  auto hits = qrank::ComputeHits(g);
-  auto traffic = qrank::ComputeTrafficRank(g);
-  if (!power.ok() || !gs.ok() || !adaptive.ok() || !extrapolated.ok() ||
-      !hits.ok() || !traffic.ok()) {
+  if (!power.ok() || !gs.ok() || !adaptive.ok() || !extrapolated.ok()) {
     std::fprintf(stderr, "an engine failed\n");
     return EXIT_FAILURE;
   }
-  auto opic = qrank::OpicComputer::Create(&g);
-  if (!opic.ok()) return EXIT_FAILURE;
-  opic->RunSweeps(50);
 
   report("PageRank (power)", power->scores, power->iterations);
   report("PageRank (Gauss-Seidel)", gs->scores, gs->iterations);
@@ -81,30 +70,7 @@ int main() {
          adaptive->base.iterations);
   report("PageRank (extrapolated)", extrapolated->base.scores,
          extrapolated->base.iterations);
-  report("OPIC (50 sweeps)", opic->Importance(), 50);
-  report("HITS authority", hits->authority, hits->iterations);
-  report("TrafficRank", traffic->scores, traffic->iterations);
   report("in-degree", qrank::InDegreeScores(g), 0);
   table.RenderAscii(std::cout);
-
-  // Topic-sensitive PageRank: bias toward the top-quality decile as a
-  // "topic" and show the blend shifting the ranking.
-  std::vector<qrank::NodeId> elite =
-      qrank::TopK(quality, quality.size() / 10);
-  qrank::TopicSpec topic{"elite", elite};
-  qrank::TopicSpec everything{"all", {}};
-  for (qrank::NodeId p = 0; p < g.num_nodes(); ++p) {
-    everything.seed_pages.push_back(p);
-  }
-  auto tspr = qrank::TopicSensitivePageRank::Create(g, {topic, everything});
-  if (!tspr.ok()) return EXIT_FAILURE;
-  auto blended = tspr->Blend({0.7, 0.3});
-  if (!blended.ok()) return EXIT_FAILURE;
-  auto rho_blend = qrank::SpearmanCorrelation(*blended, quality);
-  std::printf(
-      "\ntopic-sensitive PageRank (70%% weight on the top-quality decile "
-      "topic): Spearman vs quality %.3f (uniform PageRank: %.3f)\n",
-      rho_blend.ok() ? rho_blend.value() : 0.0,
-      qrank::SpearmanCorrelation(power->scores, quality).value());
   return EXIT_SUCCESS;
 }

@@ -3,8 +3,8 @@
 // CsrGraph is the representation every ranking algorithm consumes: two
 // flat arrays (offsets + neighbor ids) give sequential memory access in
 // the PageRank inner loop and zero per-node allocation. The transpose
-// (in-link view) is built lazily on demand and cached, since PageRank's
-// pull formulation and HITS both need it. The lazy build is guarded by
+// (in-link view) is built lazily on demand and cached, since every
+// PageRank engine's pull formulation needs it. The lazy build is guarded by
 // std::call_once, so concurrent ranking engines may request the in-link
 // view of a shared graph without external synchronization.
 

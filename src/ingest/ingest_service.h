@@ -74,7 +74,7 @@
 #include "graph/csr_graph.h"
 #include "graph/site_graph.h"
 #include "ingest/batch_accumulator.h"
-#include "ingest/latency_histogram.h"
+#include "common/latency_histogram.h"
 #include "ingest/stage_pipe.h"
 #include "ingest/update_queue.h"
 #include "rank/delta_pagerank.h"

@@ -18,6 +18,9 @@
 // I + P now converges to Q - forget_rate*n/r instead of Q — i.e., it
 // *underestimates* quality by exactly the forgetting margin, which
 // quantifies the bias the paper flags as future work.
+//
+// qrank-lint: allow(orphan-module) Section 9.1's forgetting extension,
+// reported in EXPERIMENTS.md; only its tests run it.
 
 #ifndef QRANK_MODEL_FORGETTING_MODEL_H_
 #define QRANK_MODEL_FORGETTING_MODEL_H_

@@ -3,6 +3,9 @@
 // Used to cross-validate the closed-form solutions of visitation_model.h
 // against direct integration of the underlying ODEs, and to evaluate
 // model extensions (forgetting_model.h) that have no closed form.
+//
+// qrank-lint: allow(orphan-module) the RK4 reference the model tests
+// compare the closed forms against; no production path integrates ODEs.
 
 #ifndef QRANK_MODEL_ODE_H_
 #define QRANK_MODEL_ODE_H_

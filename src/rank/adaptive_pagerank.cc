@@ -9,7 +9,6 @@
 namespace qrank {
 
 using rank_internal::FinishResult;
-using rank_internal::TeleportDistribution;
 using rank_internal::ValidateOptions;
 
 Result<AdaptivePageRankResult> ComputeAdaptivePageRank(
@@ -30,7 +29,7 @@ Result<AdaptivePageRankResult> ComputeAdaptivePageRank(
   }
 
   const double alpha = options.base.damping;
-  const std::vector<double> v = TeleportDistribution(graph, options.base);
+  const double inv_n = 1.0 / static_cast<double>(n);
 
   // Cached transpose, shared across engines on this graph — no O(E)
   // private copy.
@@ -41,7 +40,7 @@ Result<AdaptivePageRankResult> ComputeAdaptivePageRank(
     if (d > 0) inv_outdeg[u] = 1.0 / static_cast<double>(d);
   }
 
-  std::vector<double> x = v;
+  std::vector<double> x(n, inv_n);
   std::vector<double> next = x;
   std::vector<bool> frozen(n, false);
 
@@ -63,7 +62,7 @@ Result<AdaptivePageRankResult> ComputeAdaptivePageRank(
       for (NodeId u : graph.InNeighbors(i)) {
         pull += x[u] * inv_outdeg[u];
       }
-      double fresh = teleport_mass * v[i] + alpha * pull;
+      double fresh = teleport_mass * inv_n + alpha * pull;
       double delta = std::fabs(fresh - x[i]);
       residual += delta;
       next[i] = fresh;
@@ -108,7 +107,7 @@ Result<AdaptivePageRankResult> ComputeAdaptivePageRank(
       for (NodeId u : graph.InNeighbors(i)) {
         pull += x[u] * inv_outdeg[u];
       }
-      double fresh = teleport_mass * v[i] + alpha * pull;
+      double fresh = teleport_mass * inv_n + alpha * pull;
       residual += std::fabs(fresh - x[i]);
       next[i] = fresh;
       ++result.node_updates;

@@ -15,7 +15,6 @@
 namespace qrank {
 
 using rank_internal::FinishResult;
-using rank_internal::TeleportDistribution;
 using rank_internal::ValidateOptions;
 
 namespace {
@@ -36,12 +35,12 @@ enum RowStatus : uint8_t {
 std::vector<double> SolveFrozenSet(const CsrGraph& graph,
                                    const std::vector<uint8_t>& dirty_frontier,
                                    const DeltaPageRankOptions& options,
-                                   const std::vector<double>& v,
                                    DeltaPageRankResult* out) {
   DeltaPageRankResult& result = *out;
   const NodeId n = graph.num_nodes();
   const double alpha = options.base.damping;
-  std::vector<double> x = rank_internal::InitialIterate(options.base, v);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  std::vector<double> x = rank_internal::InitialIterate(graph, options.base);
 
   graph.BuildTranspose();
   ParallelOptions par;
@@ -129,7 +128,7 @@ std::vector<double> SolveFrozenSet(const CsrGraph& graph,
         &reduce_scratch, par)[0];
   };
 
-  // Dangling mass (footnote 2), redistributed teleport-shaped. Tracked
+  // Dangling mass (footnote 2), redistributed uniformly. Tracked
   // incrementally on partial sweeps (tree-reduced deltas of recomputed
   // dangling rows: deterministic); recomputed exactly on full sweeps, so
   // the convergence check always evaluates the true operator.
@@ -153,7 +152,7 @@ std::vector<double> SolveFrozenSet(const CsrGraph& graph,
           graph.InNeighbors(static_cast<NodeId>(i));
       pull = sweep_funcs.row_pull(in.data(), in.size(), out_share.data());
     }
-    const double val = base_mass * v[i] + alpha * pull;
+    const double val = base_mass * inv_n + alpha * pull;
     const double delta = std::fabs(val - x[i]);
     if (has_dangling && inv_outdeg[i] == 0.0) old_dangling[i] = x[i];
     x[i] = val;
@@ -325,7 +324,6 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
     return result;
   }
 
-  const std::vector<double> v = TeleportDistribution(graph, options.base);
   std::vector<double> x;
   if (options.full_sweep_period == 1) {
     // Every sweep recomputes every row, so no row is ever skipped and
@@ -334,12 +332,12 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
     // Gauss-Seidel then Jacobi per options.base.sweep), iteration count
     // and residual, bit for bit. Nothing is ever hidden, so the drift
     // ledger stays zero and the frontier is moot.
-    rank_internal::SolveJacobi(graph, options.base, v, &result.base);
+    rank_internal::SolveJacobi(graph, options.base, &result.base);
     result.node_updates =
         static_cast<uint64_t>(result.base.iterations) * n;
     x = std::move(result.base.scores);
   } else {
-    x = SolveFrozenSet(graph, dirty_frontier, options, v, &result);
+    x = SolveFrozenSet(graph, dirty_frontier, options, &result);
   }
   // Frozen rows break Jacobi's automatic mass conservation; restore the
   // probability scale before applying the requested convention.
@@ -351,7 +349,7 @@ Result<DeltaPageRankResult> ComputeDeltaPageRank(
     // exact Jacobi application away from residual < tolerance; the final
     // renormalization can shift them by at most the hidden drift, which
     // the inflated tolerance below accounts for.
-    if (result.base.converged && options.base.personalization.empty()) {
+    if (result.base.converged) {
       AuditContext ctx;
       ctx.graph = &graph;
       ctx.scores = &result.base.scores;

@@ -2,7 +2,7 @@
 //
 // Combines two accelerations for the snapshot-series workload:
 //  * warm start: iterate from the previous snapshot's converged vector
-//    (base.initial_scores) instead of the teleport distribution;
+//    (base.initial_scores) instead of the uniform distribution;
 //  * frozen-set iteration, the inverse of adaptive PageRank [11]: where
 //    Kamvar et al. freeze pages as they converge, here pages *start*
 //    frozen — except the delta's dirty frontier (pages whose in/out

@@ -10,7 +10,6 @@
 namespace qrank {
 
 using rank_internal::FinishResult;
-using rank_internal::TeleportDistribution;
 using rank_internal::ValidateOptions;
 
 namespace {
@@ -76,8 +75,8 @@ Result<ExtrapolatedPageRankResult> ComputeExtrapolatedPageRank(
   }
 
   const double alpha = options.base.damping;
-  const std::vector<double> v = TeleportDistribution(graph, options.base);
-  std::vector<double> x = v;
+  const double inv_n = 1.0 / static_cast<double>(n);
+  std::vector<double> x(n, inv_n);
   std::vector<double> next(n, 0.0);
 
   // Ring buffer of the last 4 iterates (h[3] most recent).
@@ -97,7 +96,7 @@ Result<ExtrapolatedPageRankResult> ComputeExtrapolatedPageRank(
       for (NodeId t : nbrs) next[t] += share;
     }
     double teleport_mass = 1.0 - alpha + alpha * dangling;
-    for (NodeId i = 0; i < n; ++i) next[i] += teleport_mass * v[i];
+    for (NodeId i = 0; i < n; ++i) next[i] += teleport_mass * inv_n;
 
     result.base.residual = L1Distance(next, x);
     x.swap(next);

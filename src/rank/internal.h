@@ -13,31 +13,27 @@
 namespace qrank {
 namespace rank_internal {
 
-/// Validates damping/tolerance/iteration/personalization options.
+/// Validates damping/tolerance/iteration/sweep/warm-start options.
 Status ValidateOptions(const CsrGraph& graph, const PageRankOptions& options);
-
-/// The (normalized) teleport distribution implied by the options.
-std::vector<double> TeleportDistribution(const CsrGraph& graph,
-                                         const PageRankOptions& options);
 
 /// Applies the requested ScaleConvention in place.
 void ApplyScale(const CsrGraph& graph, const PageRankOptions& options,
                 std::vector<double>* scores);
 
 /// The first power-iteration iterate: the (normalized) warm start if
-/// provided, else the teleport distribution.
-std::vector<double> InitialIterate(const PageRankOptions& options,
-                                   const std::vector<double>& teleport);
+/// provided, else the uniform distribution. Needs num_nodes() > 0.
+std::vector<double> InitialIterate(const CsrGraph& graph,
+                                   const PageRankOptions& options);
 
 /// The fused kernel (rank/pagerank_kernel.h) from InitialIterate(
-/// options, teleport): Jacobi sweeps, preceded under
+/// graph, options): Jacobi sweeps, preceded under
 /// SweepMethod::kBlockGaussSeidel by Gauss-Seidel sweeps until their
 /// change drops under options.tolerance, until a Jacobi residual drops
 /// under options.tolerance or options.max_iterations run out. Fills
 /// scores (probability scale, before FinishResult), iterations (both
 /// kinds), residual and converged in *result.
 void SolveJacobi(const CsrGraph& graph, const PageRankOptions& options,
-                 const std::vector<double>& teleport, PageRankResult* result);
+                 PageRankResult* result);
 
 /// Enforces require_convergence and applies scaling.
 Status FinishResult(const CsrGraph& graph, const PageRankOptions& options,

@@ -84,24 +84,6 @@ Status ValidateOptions(const CsrGraph& graph, const PageRankOptions& options) {
     return Status::InvalidArgument(
         "block Gauss-Seidel sweeps need the raw transpose");
   }
-  if (!options.personalization.empty()) {
-    if (options.personalization.size() != graph.num_nodes()) {
-      return Status::InvalidArgument(
-          "personalization vector size must equal num_nodes");
-    }
-    double sum = 0.0;
-    for (double w : options.personalization) {
-      if (w < 0.0 || !std::isfinite(w)) {
-        return Status::InvalidArgument(
-            "personalization weights must be finite and non-negative");
-      }
-      sum += w;
-    }
-    if (sum <= 0.0) {
-      return Status::InvalidArgument("personalization weights must not all "
-                                     "be zero");
-    }
-  }
   if (!options.initial_scores.empty()) {
     if (options.initial_scores.size() != graph.num_nodes()) {
       return Status::InvalidArgument(
@@ -122,25 +104,16 @@ Status ValidateOptions(const CsrGraph& graph, const PageRankOptions& options) {
   return Status::OK();
 }
 
-std::vector<double> InitialIterate(const PageRankOptions& options,
-                                   const std::vector<double>& teleport) {
-  if (options.initial_scores.empty()) return teleport;
-  std::vector<double> x = options.initial_scores;
-  NormalizeSum(&x, 1.0);
-  return x;
-}
-
-std::vector<double> TeleportDistribution(const CsrGraph& graph,
-                                         const PageRankOptions& options) {
-  const size_t n = graph.num_nodes();
-  std::vector<double> v;
-  if (options.personalization.empty()) {
-    v.assign(n, n > 0 ? 1.0 / static_cast<double>(n) : 0.0);
+std::vector<double> InitialIterate(const CsrGraph& graph,
+                                   const PageRankOptions& options) {
+  std::vector<double> x;
+  if (options.initial_scores.empty()) {
+    x.assign(graph.num_nodes(), 1.0 / static_cast<double>(graph.num_nodes()));
   } else {
-    v = options.personalization;
-    NormalizeSum(&v, 1.0);
+    x = options.initial_scores;
+    NormalizeSum(&x, 1.0);
   }
-  return v;
+  return x;
 }
 
 void ApplyScale(const CsrGraph& graph, const PageRankOptions& options,
@@ -152,9 +125,8 @@ void ApplyScale(const CsrGraph& graph, const PageRankOptions& options,
 }
 
 void SolveJacobi(const CsrGraph& graph, const PageRankOptions& options,
-                 const std::vector<double>& teleport, PageRankResult* result) {
-  PageRankKernel kernel(graph, options, teleport,
-                        InitialIterate(options, teleport));
+                 PageRankResult* result) {
+  PageRankKernel kernel(graph, options, InitialIterate(graph, options));
   // Gauss-Seidel sweeps (if asked for) until their own change meets
   // tolerance, then Jacobi sweeps: convergence is declared only on a
   // Jacobi residual, so the a-posteriori bound is Jacobi's either way.
@@ -202,7 +174,6 @@ Status FinishResult(const CsrGraph& graph, const PageRankOptions& options,
 }  // namespace rank_internal
 
 using rank_internal::FinishResult;
-using rank_internal::TeleportDistribution;
 using rank_internal::ValidateOptions;
 
 Result<PageRankResult> ComputePageRank(const CsrGraph& graph,
@@ -221,16 +192,13 @@ Result<PageRankResult> ComputePageRank(const CsrGraph& graph,
   // iterates are bit-identical for every thread count. The per-sweep
   // work (residual, dangling carry, out-share refresh) is fused into a
   // single allocation-free pass; see rank/pagerank_kernel.h.
-  rank_internal::SolveJacobi(graph, options,
-                             TeleportDistribution(graph, options), &result);
+  rank_internal::SolveJacobi(graph, options, &result);
   QRANK_RETURN_NOT_OK(FinishResult(graph, options, &result));
   if constexpr (kAuditLevel >= 2) {
     // Jacobi's declared convergence means the last update moved less
     // than tolerance, so one more operator application moves at most
     // damping * tolerance — comfortably inside the validator's bound.
-    // (The validator assumes uniform teleport; skip under
-    // personalization.)
-    if (result.converged && options.personalization.empty()) {
+    if (result.converged) {
       AuditContext ctx;
       ctx.graph = &graph;
       ctx.scores = &result.scores;
@@ -259,8 +227,8 @@ Result<PageRankResult> ComputePageRankGaussSeidel(
   }
 
   const double alpha = options.damping;
-  const std::vector<double> v = TeleportDistribution(graph, options);
-  std::vector<double> x = rank_internal::InitialIterate(options, v);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  std::vector<double> x = rank_internal::InitialIterate(graph, options);
 
   // Pull formulation over the cached transpose (shared with any other
   // engine on this graph — no O(E) private copy); out-degrees cached
@@ -286,7 +254,7 @@ Result<PageRankResult> ComputePageRankGaussSeidel(
         pull += x[u] * inv_outdeg[u];
       }
       double fresh =
-          (1.0 - alpha + alpha * dangling) * v[i] + alpha * pull;
+          (1.0 - alpha + alpha * dangling) * inv_n + alpha * pull;
       residual += std::fabs(fresh - x[i]);
       // A dangling node's own mass feeds the sweep-constant `dangling`;
       // the update is still a contraction.

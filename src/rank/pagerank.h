@@ -5,9 +5,11 @@
 //   PR(p_i) = d + (1 - d) [ PR(p_1)/c_1 + ... + PR(p_m)/c_m ]
 //
 // where d is the paper's damping (teleport) probability and c_j the
-// out-degree of the linking page. Footnote 2 ("a page with no outgoing
-// link is assumed to link to every page") is realized as uniform
-// redistribution of dangling mass, without materializing O(n^2) edges.
+// out-degree of the linking page. The teleport is uniform, as in the
+// paper: every page gets the same share of it (d/n in probability
+// scale). Footnote 2 ("a page with no outgoing link is assumed to link
+// to every page") is realized as uniform redistribution of dangling
+// mass, without materializing O(n^2) edges.
 //
 // Two numeric conventions are supported:
 //  * kProbability — scores form a distribution (sum to 1): the
@@ -15,15 +17,21 @@
 //  * kTotalMassN — scores sum to num_nodes, matching the paper's
 //    "initial PageRank value 1 per page" convention used in Section 8.
 //
-// Engines:
+// Engines (the paper ranks with "the basic PageRank algorithm"; the
+// others are the accelerations it cites and the warm engine the
+// snapshot pipeline runs):
 //  * ComputePageRank        — Jacobi power iteration in the pull
-//    formulation (per-row independent, runs on the parallel substrate;
-//    scores are bit-identical for every num_threads value).
+//    formulation on the fused kernel (rank/pagerank_kernel.h), or block
+//    Gauss-Seidel sweeps closed by a Jacobi sweep (options.sweep); runs
+//    on the parallel substrate, and scores are bit-identical for every
+//    num_threads value.
 //  * ComputePageRankGaussSeidel — in-place sweeps, typically ~2x fewer
 //    iterations; requires the transpose. Deliberately serial: each
 //    update reads values written earlier in the same sweep, so any
 //    parallel order would change the iterates. It is the independent
 //    reference the equivalence tests compare the parallel engine to.
+//  * ComputeDeltaPageRank (delta_pagerank.h) — warm-started re-ranking
+//    of an evolving graph, on the same kernel or a frozen-set engine.
 //  * ComputeAdaptivePageRank (adaptive_pagerank.h)   — [11] in the paper.
 //  * ComputeExtrapolatedPageRank (extrapolation.h)   — [12] in the paper.
 
@@ -107,19 +115,13 @@ struct PageRankOptions {
 
   ScaleConvention scale = ScaleConvention::kProbability;
 
-  /// Optional teleport distribution (personalized / topic-sensitive
-  /// PageRank, [10] in the paper). Empty means uniform. Must have
-  /// num_nodes entries summing to a positive value; it is normalized
-  /// internally. Dangling mass follows the same distribution.
-  std::vector<double> personalization;
-
   /// If true, a run that hits max_iterations without meeting tolerance
   /// returns Status::NotConverged; if false it returns the last iterate
   /// with converged=false.
   bool require_convergence = false;
 
   /// Optional warm-start iterate (probability or any positive scale —
-  /// normalized internally). Empty means start from the teleport
+  /// normalized internally). Empty means start from the uniform
   /// distribution. Must have num_nodes non-negative entries with a
   /// positive sum. The fixed point is unchanged; only the iteration
   /// count depends on the start.
@@ -170,7 +172,7 @@ struct PageRankResult {
 };
 
 /// Jacobi power iteration. InvalidArgument on bad options
-/// (damping outside [0,1), non-positive tolerance, bad personalization).
+/// (damping outside [0,1), non-positive tolerance, bad initial_scores).
 /// An empty graph yields an empty score vector.
 Result<PageRankResult> ComputePageRank(const CsrGraph& graph,
                                        const PageRankOptions& options = {});

@@ -109,11 +109,10 @@ std::vector<size_t> PullSweepBoundaries(const CsrGraph& graph,
 
 PageRankKernel::PageRankKernel(const CsrGraph& graph,
                                const PageRankOptions& options,
-                               const std::vector<double>& teleport,
                                std::vector<double> initial)
     : n_(graph.num_nodes()),
       alpha_(options.damping),
-      v_(teleport),
+      inv_n_(1.0 / static_cast<double>(n_)),
       x_(std::move(initial)) {
   par_.num_threads = options.num_threads;
   graph.BuildTranspose();
@@ -202,13 +201,13 @@ QRANK_HOT double PageRankKernel::Run(BlockSweepFn block) {
   args.byte_off = byte_offsets_;
   args.bytes = bytes_;
   args.x = x_.data();
-  args.v = v_.data();
   args.out_share = out_share_.data();
   args.inv_outdeg = inv_outdeg_.data();
   args.next = next_.data();
   args.next_out_share = next_out_share_.data();
   args.gs_run_ends = gs_run_ends_.data();
   args.alpha = alpha_;
+  args.inv_n = inv_n_;
   args.base_weight = 1.0 - alpha_ + alpha_ * dangling_;
 
   const std::array<double, 2> sums = ParallelReducePartition<2>(

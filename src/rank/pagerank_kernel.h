@@ -52,11 +52,10 @@ class PageRankKernel {
  public:
   /// Readies every buffer the iteration needs and builds the graph's
   /// transpose (so the O(E) build lands outside the timed sweeps).
-  /// `graph` and `teleport` must outlive the kernel; `initial` is the
-  /// first iterate (probability scale). Reads damping, num_threads and
-  /// partition from `options`.
+  /// `graph` must outlive the kernel; `initial` is the first iterate
+  /// (probability scale). Reads damping, num_threads and partition from
+  /// `options`. The teleport is uniform: 1/n per row.
   PageRankKernel(const CsrGraph& graph, const PageRankOptions& options,
-                 const std::vector<double>& teleport,
                  std::vector<double> initial);
 
   /// One fused Jacobi application: x <- F(x). Returns the L1 residual
@@ -87,7 +86,7 @@ class PageRankKernel {
 
   const NodeId n_;
   const double alpha_;
-  const std::vector<double>& v_;  // teleport distribution
+  const double inv_n_;  // uniform teleport share, 1/n
   ParallelOptions par_;
   std::vector<size_t> bounds_;  // fixed sweep partition, n_+... boundaries
 

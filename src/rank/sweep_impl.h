@@ -121,7 +121,6 @@ QRANK_HOT std::array<double, 2> BlockSweep(const SweepArgs& a, size_t lo, size_t
   const uint64_t* __restrict byte_off = a.byte_off;
   const uint8_t* __restrict bytes = a.bytes;
   const double* __restrict x = a.x;
-  const double* __restrict v = a.v;
   const double* __restrict out_share = a.out_share;
   const double* __restrict inv_outdeg = a.inv_outdeg;
   double* __restrict next = a.next;
@@ -131,6 +130,7 @@ QRANK_HOT std::array<double, 2> BlockSweep(const SweepArgs& a, size_t lo, size_t
       next_out_share = a.next_out_share;
   const uint32_t* __restrict gs_run_ends = a.gs_run_ends;
   const double alpha = a.alpha;
+  const double inv_n = a.inv_n;
   const double base_weight = a.base_weight;
   double residual = 0.0;
   double next_dangling = 0.0;
@@ -156,7 +156,10 @@ QRANK_HOT std::array<double, 2> BlockSweep(const SweepArgs& a, size_t lo, size_t
       const size_t begin = in_off[i];
       pull = PullRow<Acc>(in_src + begin, in_off[i + 1] - begin, out_share);
     }
-    const double fresh = base_weight * v[i] + alpha * pull;
+    // Kept as one expression: the AVX-512 TU contracts it into an FMA,
+    // and pre-multiplying base_weight * inv_n per sweep would round
+    // those sweeps differently (DESIGN.md §5g).
+    const double fresh = base_weight * inv_n + alpha * pull;
     residual += std::fabs(fresh - x[i]);
     if (inv_outdeg[i] == 0.0) next_dangling += fresh;
     next[i] = fresh;

@@ -43,7 +43,6 @@ struct SweepArgs {
   const uint64_t* byte_off = nullptr;  // compressed row byte offsets
   const uint8_t* bytes = nullptr;      // compressed varint stream
   const double* x = nullptr;           // current iterate
-  const double* v = nullptr;           // teleport distribution
   const double* out_share = nullptr;   // x[u] * inv_outdeg[u]
   const double* inv_outdeg = nullptr;
   double* next = nullptr;
@@ -52,6 +51,7 @@ struct SweepArgs {
   // sources below lo and below i (entries 2i and 2i + 1).
   const uint32_t* gs_run_ends = nullptr;
   double alpha = 0.0;
+  double inv_n = 0.0;  // uniform teleport share, 1/n
   double base_weight = 0.0;
 };
 
@@ -85,7 +85,7 @@ struct SweepFuncs {
 /// The compressed block sweep every variant shares. Defined in the
 /// scalar TU (pagerank_kernel.cc) on purpose: an ISA TU would compile
 /// the row loop under -mavx512f, whose implied FMA lets the compiler
-/// contract `base_weight * v[i] + alpha * pull` into one rounding and
+/// contract `base_weight * inv_n + alpha * pull` into one rounding and
 /// silently break the compressed-equals-scalar bit-exactness contract.
 std::array<double, 2> ScalarCompressedBlockSweep(const SweepArgs& args,
                                                  size_t lo, size_t hi);

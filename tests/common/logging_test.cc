@@ -4,8 +4,6 @@
 
 #include <sstream>
 
-#include "common/stopwatch.h"
-
 namespace qrank {
 namespace {
 
@@ -141,21 +139,6 @@ TEST(AuditMacroDeathTest, Level1FailureAborts) {
                "QRANK_CHECK failed.*level-1 violation");
 }
 #endif
-
-TEST(StopwatchTest, MeasuresElapsedTime) {
-  Stopwatch sw;
-  double first = sw.ElapsedSeconds();
-  EXPECT_GE(first, 0.0);
-  // Busy-wait a tiny amount; elapsed must be monotone.
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + i;
-  double second = sw.ElapsedSeconds();
-  EXPECT_GE(second, first);
-  EXPECT_NEAR(sw.ElapsedMillis(), sw.ElapsedSeconds() * 1e3,
-              sw.ElapsedMillis() * 0.5 + 1.0);
-  sw.Reset();
-  EXPECT_LT(sw.ElapsedSeconds(), second + 1.0);
-}
 
 }  // namespace
 }  // namespace qrank

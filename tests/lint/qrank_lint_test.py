@@ -15,7 +15,10 @@ Also asserts the contract edges:
   * the reader-guard dead-check fixture (`true ||` short-circuiting
     the size check away) is CAUGHT — the rule's basic-reachability
     extension sees through constant short-circuits;
-  * --report writes the same findings to a file.
+  * --report writes the same findings to a file;
+  * orphan-module, which walks a tree rather than the compile
+    database, flags exactly the orphan headers of the
+    orphan_module_bad/ tree and nothing in orphan_module_ok/.
 
 Usage: qrank_lint_test.py <repo_root>
 """
@@ -43,15 +46,20 @@ def line_of(root, rel, needle, occurrence=1):
     return hits[occurrence - 1]
 
 
-def run_lint(root, db_entries, extra_args=()):
+# The rules driven by the compile database; orphan-module walks a tree
+# and is exercised on its own fixture trees below.
+TU_RULES = "hot-alloc,scalar-tu,reader-guard,no-assert,naked-mutex"
+
+
+def run_lint(root, db_entries, extra_args=(), tree=None, rules=TU_RULES):
     tmpdir = tempfile.mkdtemp(prefix="qrank_lint_test_")
     db_path = os.path.join(tmpdir, "compile_commands.json")
     with open(db_path, "w", encoding="utf-8") as f:
         json.dump(db_entries, f)
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "tools", "qrank_lint.py"),
-         "-p", db_path, "--select", "lint_fixtures", "--root", root,
-         *extra_args],
+         "-p", db_path, "--select", "lint_fixtures", "--root", tree or root,
+         "--rules", rules, *extra_args],
         capture_output=True, text=True)
     findings = set()
     for line in proc.stdout.splitlines():
@@ -167,8 +175,33 @@ def main():
               file=sys.stderr)
         return 1
 
+    # orphan-module: the header only its own .cc includes and the one
+    # only a test includes; the tools-included header is no finding.
+    bad_tree = os.path.join(fx, "orphan_module_bad")
+    orphan_expected = {
+        ("src/lib/orphan.h", 1, "orphan-module"),
+        ("src/lib/test_only.h", 1, "orphan-module"),
+    }
+    proc4, findings4 = run_lint(root, [], tree=bad_tree,
+                                rules="orphan-module")
+    if proc4.returncode != 1 or findings4 != orphan_expected:
+        print("FAIL: orphan-module findings on orphan_module_bad/: "
+              "exit %d\n%s" % (proc4.returncode, proc4.stdout),
+              file=sys.stderr)
+        return 1
+    # Included from tools/, from another .cc in src/ and from bench/,
+    # or suppressed: clean.
+    proc5, findings5 = run_lint(root, [],
+                                tree=os.path.join(fx, "orphan_module_ok"),
+                                rules="orphan-module")
+    if proc5.returncode != 0 or findings5:
+        print("FAIL: orphan_module_ok/ produced findings:\n%s" %
+              proc5.stdout, file=sys.stderr)
+        return 1
+
     print("PASS: %d exact findings, negatives clean, dead-check "
-          "caught, report matches" % len(expected))
+          "caught, report matches, %d orphan modules" %
+          (len(expected), len(orphan_expected)))
     return 0
 
 

@@ -74,9 +74,8 @@ size_t AllocationsDuring(const std::function<void()>& fn) {
 void ExpectSweepsAllocationFree(const PageRankOptions& o) {
   const CsrGraph g = TestGraph();
   const double uniform = 1.0 / static_cast<double>(g.num_nodes());
-  const std::vector<double> teleport(g.num_nodes(), uniform);
   rank_internal::PageRankKernel kernel(
-      g, o, teleport, std::vector<double>(g.num_nodes(), uniform));
+      g, o, std::vector<double>(g.num_nodes(), uniform));
   double residual = 0.0;
   const bool gauss_seidel = o.sweep == SweepMethod::kBlockGaussSeidel;
   const size_t allocs = AllocationsDuring([&kernel, &residual, gauss_seidel] {

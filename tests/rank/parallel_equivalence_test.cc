@@ -99,9 +99,6 @@ TEST(ParallelEquivalenceTest, PageRankUnderNonDefaultOptions) {
   PageRankOptions o;
   o.damping = 0.95;
   o.scale = ScaleConvention::kTotalMassN;
-  std::vector<double> personalization(g.num_nodes(), 1.0);
-  personalization[3] = 50.0;
-  o.personalization = personalization;
   ExpectBitIdenticalScores(g, o);
 }
 

@@ -24,7 +24,6 @@
 //
 // Exit status: 0 = success, 2 = usage/connect error, 3 = degraded.
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/latency_histogram.h"
 #include "common/status.h"
 #include "dist/coordinator.h"
 #include "dist/rpc.h"
@@ -205,8 +205,7 @@ int CmdBench(FlagParser& flags) {
   TopKQuery q = query.value();
   DistTopKResult result;
   using Clock = std::chrono::steady_clock;
-  std::vector<double> sampled_ns;  // every 16th query timed individually
-  sampled_ns.reserve(static_cast<size_t>(num_queries) / 16 + 1);
+  LatencyHistogram sampled;  // every 16th query timed individually
   double checksum = 0.0;
   const Clock::time_point start = Clock::now();
   for (int64_t i = 0; i < num_queries; ++i) {
@@ -221,26 +220,22 @@ int CmdBench(FlagParser& flags) {
       return 2;
     }
     if (timed) {
-      sampled_ns.push_back(
-          std::chrono::duration<double, std::nano>(Clock::now() - t0)
-              .count());
+      sampled.AddNanos(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               t0)
+              .count()));
     }
     if (!result.entries.empty()) checksum += result.entries[0].score;
   }
   const double elapsed_s =
       std::chrono::duration<double>(Clock::now() - start).count();
-  std::sort(sampled_ns.begin(), sampled_ns.end());
-  const auto percentile = [&sampled_ns](double p) {
-    if (sampled_ns.empty()) return 0.0;
-    const size_t i = static_cast<size_t>(p * (sampled_ns.size() - 1));
-    return sampled_ns[i];
-  };
   std::printf(
       "%u shards: %" PRId64 " queries in %.3f s = %.0f QPS "
       "(p50 %.0f ns, p99 %.0f ns, degraded %" PRIu64 ", hedges %" PRIu64
       ", checksum %.6g)\n",
       coord.shard_map().num_shards, num_queries, elapsed_s,
-      num_queries / elapsed_s, percentile(0.50), percentile(0.99),
+      num_queries / elapsed_s, sampled.PercentileNanos(0.50),
+      sampled.PercentileNanos(0.99),
       coord.degraded_queries(), coord.hedges_fired(), checksum);
   const bool degraded = coord.degraded_queries() > 0;
   coord.Stop();

@@ -45,6 +45,15 @@ Rules
                annotated qrank::Mutex wrappers are what make
                -Wthread-safety able to see lock discipline at all; one
                naked mutex is an unanalyzable hole.
+  orphan-module
+               Every src/**/*.h header must be included by some file in
+               src/ (other than its own .cc), tools/, bench/, perfbench/
+               or examples/. A header only its own implementation and
+               its tests include is a module no production path calls:
+               delete it, or keep it with a reasoned suppression (a
+               reference the tests compare against, a paper figure).
+               Unlike the rules above it walks the tree under --root,
+               not the compile database.
 
 Suppression
 -----------
@@ -55,7 +64,8 @@ preceding comment block:
 
 The rule name is required; a reason is expected by convention (and by
 code review). For hot-alloc the suppression also stops the transitive
-walk through that call site.
+walk through that call site. An orphan-module finding is about the
+whole header, so the comment may sit anywhere in that header.
 
 Exit status: 0 clean, 1 findings, 2 usage/database errors.
 """
@@ -73,7 +83,12 @@ Function = namedtuple(
 Finding = namedtuple("Finding", ["rule", "file", "line", "message"])
 
 ALL_RULES = ("hot-alloc", "scalar-tu", "reader-guard", "no-assert",
-             "naked-mutex")
+             "naked-mutex", "orphan-module")
+
+# orphan-module: the trees whose includes count as production callers of
+# a src/ header, and the files read there.
+PRODUCTION_DIRS = ("src", "tools", "bench", "perfbench", "examples")
+SOURCE_EXTS = (".h", ".cc", ".cpp")
 
 ALLOW_RE = re.compile(r"qrank-lint:\s*allow\(\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)\s*\)")
 
@@ -684,6 +699,41 @@ class Lint:
                     "(common/thread_annotations.h)" % t.text)
 
 
+    def rule_orphan_module(self):
+        src = os.path.join(self.repo_root, "src")
+        includers = {}  # header path -> paths of the files including it
+        headers = []
+        for top in PRODUCTION_DIRS:
+            for dirpath, dirnames, filenames in os.walk(
+                    os.path.join(self.repo_root, top)):
+                dirnames.sort()
+                for name in sorted(filenames):
+                    if not name.endswith(SOURCE_EXTS):
+                        continue
+                    sf = self.file(os.path.join(dirpath, name))
+                    if top == "src" and name.endswith(".h"):
+                        headers.append(sf)
+                    for inc in sf.includes:
+                        for d in (dirpath, src):
+                            cand = os.path.realpath(os.path.join(d, inc))
+                            if os.path.isfile(cand):
+                                includers.setdefault(cand, set()).add(sf.path)
+                                break
+        for sf in headers:
+            stem = os.path.splitext(sf.path)[0]
+            if any(os.path.splitext(p)[0] != stem
+                   for p in includers.get(sf.path, ())):
+                continue
+            if "orphan-module" in sf.allows:
+                continue
+            self.add(
+                "orphan-module", sf.path, 1,
+                "no file in src/ (besides its own .cc), tools/, bench/, "
+                "perfbench/ or examples/ includes this header; delete the "
+                "module or add '// qrank-lint: allow(orphan-module) "
+                "<reason>'")
+
+
 def parse_db_entry(entry):
     if "arguments" in entry:
         args = list(entry["arguments"])
@@ -757,6 +807,8 @@ def main(argv=None):
             continue
         lint.check_tu(file_path, include_dirs, cmd_args)
         analyzed += 1
+    if "orphan-module" in rules:
+        lint.rule_orphan_module()
 
     findings = sorted(lint.findings.values(),
                       key=lambda f: (f.file, f.line, f.rule))

@@ -41,6 +41,7 @@
 
 #include "audit/audit.h"
 #include "common/flags.h"
+#include "common/latency_histogram.h"
 #include "common/status.h"
 #include "dist/shard_map.h"
 #include "serve/query_engine.h"
@@ -256,8 +257,7 @@ int CmdBench(FlagParser& flags, const std::string& path) {
   // Vary the exploration seed per query so the bench doesn't serve one
   // memoizable draw sequence; deterministic queries ignore it.
   using Clock = std::chrono::steady_clock;
-  std::vector<double> sampled_ns;  // every 64th query timed individually
-  sampled_ns.reserve(static_cast<size_t>(num_queries) / 64 + 1);
+  LatencyHistogram sampled;  // every 64th query timed individually
   double checksum = 0.0;
   const Clock::time_point start = Clock::now();
   for (int64_t i = 0; i < num_queries; ++i) {
@@ -271,26 +271,22 @@ int CmdBench(FlagParser& flags, const std::string& path) {
       return 2;
     }
     if (timed) {
-      sampled_ns.push_back(
-          std::chrono::duration<double, std::nano>(Clock::now() - t0)
-              .count());
+      sampled.AddNanos(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               t0)
+              .count()));
     }
     const std::span<const TopKEntry> results = scratch.results();
     if (!results.empty()) checksum += results[0].score;
   }
   const double elapsed_s =
       std::chrono::duration<double>(Clock::now() - start).count();
-  std::sort(sampled_ns.begin(), sampled_ns.end());
-  const auto percentile = [&sampled_ns](double p) {
-    if (sampled_ns.empty()) return 0.0;
-    const size_t i = static_cast<size_t>(p * (sampled_ns.size() - 1));
-    return sampled_ns[i];
-  };
   std::printf(
       "%s: %" PRId64 " queries in %.3f s = %.0f QPS "
       "(p50 %.0f ns, p99 %.0f ns, checksum %.6g)\n",
       path.c_str(), num_queries, elapsed_s, num_queries / elapsed_s,
-      percentile(0.50), percentile(0.99), checksum);
+      sampled.PercentileNanos(0.50), sampled.PercentileNanos(0.99),
+      checksum);
   return 0;
 }
 
